@@ -44,10 +44,9 @@ class ColumnRef(Expression):
     def __init__(self, table: str, name: str):
         self.table = table
         self.name = name
-
-    @property
-    def key(self) -> str:
-        return "{}.{}".format(self.table, self.name)
+        #: ``table.column``, formatted once: planners and cost models
+        #: look it up far more often than references are built
+        self.key = "{}.{}".format(table, name)
 
     def columns(self) -> Set[str]:
         return {self.key}

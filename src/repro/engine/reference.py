@@ -4,6 +4,13 @@ Executes a bound :class:`QuerySpec` row-at-a-time in pure Python —
 deliberately sharing *no* execution code with the physical operators —
 so integration tests can cross-check every workload query end-to-end.
 
+Every expression is compiled once per query into a closure over one
+*binding*: a row number while filtering a table, a join assignment (a
+tuple of row numbers in join order) afterwards, or an output row for
+HAVING.  Columns are read through a ``memoryview`` of their value
+array, whose indexing yields plain Python ``int``/``float`` values;
+string codes are decoded through the column's dictionary.
+
 Output convention matches the engine: for aggregation queries the
 columns are the group-by columns (in GROUP BY order) followed by the
 aggregates (in SELECT order); strings are decoded.
@@ -11,7 +18,9 @@ aggregates (in SELECT order); strings are decoded.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+import functools
+import operator
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.expressions import (
     Aggregate,
@@ -26,102 +35,119 @@ from repro.engine.expressions import (
     Not,
     Or,
 )
-from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sql.binder import QuerySpec
-from repro.storage import ColumnType, Database
+from repro.storage import Column, ColumnType, Database
+
+#: A compiled expression: binding -> Python value.
+Compiled = Callable[[object], object]
+
+_ARITHMETIC = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+}
+_COMPARISON = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
-def _scalar(expr: Expression, getval: Callable[[str], object]):
-    """Row-at-a-time expression evaluation on decoded Python values."""
+def _compile(expr: Expression,
+             leaf: Callable[[ColumnRef], Compiled]) -> Compiled:
+    """Compile ``expr`` into a closure over one binding; ``leaf``
+    compiles each column reference for the binding's shape."""
     if isinstance(expr, ColumnRef):
-        return getval(expr.key)
+        return leaf(expr)
     if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, Arithmetic):
-        left = _scalar(expr.left, getval)
-        right = _scalar(expr.right, getval)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        return left / right
-    if isinstance(expr, Comparison):
-        left = _scalar(expr.left, getval)
-        right = _scalar(expr.right, getval)
-        ops = {
-            "=": lambda a, b: a == b,
-            "<>": lambda a, b: a != b,
-            "<": lambda a, b: a < b,
-            "<=": lambda a, b: a <= b,
-            ">": lambda a, b: a > b,
-            ">=": lambda a, b: a >= b,
-        }
-        return ops[expr.op](left, right)
+        constant = expr.value
+        return lambda binding: constant
+    if isinstance(expr, (Arithmetic, Comparison)):
+        ops = _ARITHMETIC if isinstance(expr, Arithmetic) else _COMPARISON
+        op = ops[expr.op]
+        left = _compile(expr.left, leaf)
+        if isinstance(expr.right, Literal):
+            constant = expr.right.value
+            return lambda binding: op(left(binding), constant)
+        right = _compile(expr.right, leaf)
+        return lambda binding: op(left(binding), right(binding))
     if isinstance(expr, Between):
-        value = _scalar(expr.expr, getval)
-        return _scalar(expr.low, getval) <= value <= _scalar(expr.high, getval)
+        value = _compile(expr.expr, leaf)
+        if isinstance(expr.low, Literal) and isinstance(expr.high, Literal):
+            lowest, highest = expr.low.value, expr.high.value
+            return lambda binding: lowest <= value(binding) <= highest
+        low = _compile(expr.low, leaf)
+        high = _compile(expr.high, leaf)
+        return lambda binding: low(binding) <= value(binding) <= high(binding)
     if isinstance(expr, InList):
-        return _scalar(expr.expr, getval) in expr.values
-    if isinstance(expr, And):
-        return all(_scalar(child, getval) for child in expr.children)
-    if isinstance(expr, Or):
-        return any(_scalar(child, getval) for child in expr.children)
+        value = _compile(expr.expr, leaf)
+        members = expr.values
+        return lambda binding: value(binding) in members
+    if isinstance(expr, (And, Or)):
+        children = [_compile(child, leaf) for child in expr.children]
+        if isinstance(expr, And):
+            def conjunction(binding):
+                for child in children:
+                    if not child(binding):
+                        return False
+                return True
+
+            return conjunction
+
+        def disjunction(binding):
+            for child in children:
+                if child(binding):
+                    return True
+            return False
+
+        return disjunction
     if isinstance(expr, Not):
-        return not _scalar(expr.child, getval)
+        child = _compile(expr.child, leaf)
+        return lambda binding: not child(binding)
     raise TypeError("unsupported expression {!r}".format(expr))
 
 
-class _RowReader:
-    """Decoded value access for one table."""
-
-    def __init__(self, database: Database, table: str):
-        self._columns = {}
-        for column in database.table(table).columns:
-            self._columns[column.key] = column
-
-    def value(self, key: str, row: int):
-        column = self._columns[key]
-        raw = column.values[row]
-        if column.ctype is ColumnType.STRING:
-            return column.dictionary[int(raw)]
-        if column.ctype in (ColumnType.FLOAT32, ColumnType.FLOAT64):
-            return float(raw)
-        return int(raw)
+def _column_reader(column: Column, position: Optional[int] = None) -> Compiled:
+    """Read one decoded value of ``column`` from a row number or, given
+    ``position``, from the row at that position of a join assignment."""
+    values = memoryview(column.values)
+    if column.ctype is ColumnType.STRING:
+        dictionary = column.dictionary
+        if position is None:
+            return lambda row: dictionary[values[row]]
+        return lambda assignment: dictionary[values[assignment[position]]]
+    if position is None:
+        return values.__getitem__
+    return lambda assignment: values[assignment[position]]
 
 
 def execute_reference(spec: "QuerySpec", database: Database) -> List[tuple]:
     """Evaluate ``spec`` naively; returns rows as tuples."""
-    readers = {table: _RowReader(database, table) for table in spec.tables}
 
-    def row_getter(assignment: Dict[str, int]) -> Callable[[str], object]:
-        def getval(key: str):
-            table = key.partition(".")[0]
-            return readers[table].value(key, assignment[table])
-
-        return getval
-
-    # 1. Per-table filters.
+    # 1. Per-table filters, compiled over a row number.
     filtered: Dict[str, List[int]] = {}
     for table in spec.tables:
+        rows = range(database.table(table).actual_rows)
         predicate = spec.filters.get(table)
-        rows = []
-        n = database.table(table).actual_rows
-        for row in range(n):
-            if predicate is None or _scalar(
-                predicate, row_getter({table: row})
-            ):
-                rows.append(row)
-        filtered[table] = rows
+        if predicate is not None:
+            keep = _compile(
+                predicate, lambda ref: _column_reader(database.column(ref.key))
+            )
+            rows = filter(keep, rows)
+        filtered[table] = list(rows)
 
-    # 2. Joins: fold tables into tuples of row assignments.
+    # 2. Joins: fold tables into assignments, tuples of row numbers
+    # holding table ``t``'s row at ``position[t]``.
     first = spec.tables[0]
-    assignments: List[Dict[str, int]] = [{first: row} for row in filtered[first]]
-    joined_tables = {first}
-    remaining = [t for t in spec.tables[1:]]
+    assignments: List[Tuple[int, ...]] = [(row,) for row in filtered[first]]
+    position = {first: 0}
+    remaining = list(spec.tables[1:])
     edges = list(spec.join_edges)
     while remaining:
         progressed = False
@@ -129,44 +155,47 @@ def execute_reference(spec: "QuerySpec", database: Database) -> List[tuple]:
             usable = [
                 (left, right)
                 for left, right in edges
-                if (left.table == table and right.table in joined_tables)
-                or (right.table == table and left.table in joined_tables)
+                if (left.table == table and right.table in position)
+                or (right.table == table and left.table in position)
             ]
             if not usable:
                 continue
             left, right = usable[0]
             new_key, old_key = (left, right) if left.table == table else (right, left)
             # hash the new table's filtered rows on the join key
+            read_new = _column_reader(database.column(new_key.key))
             buckets: Dict[object, List[int]] = {}
             for row in filtered[table]:
-                value = readers[table].value(new_key.key, row)
-                buckets.setdefault(value, []).append(row)
-            joined = []
-            for assignment in assignments:
-                value = readers[old_key.table].value(
-                    old_key.key, assignment[old_key.table]
-                )
-                for row in buckets.get(value, ()):
-                    extended = dict(assignment)
-                    extended[table] = row
-                    joined.append(extended)
-            assignments = joined
-            joined_tables.add(table)
+                buckets.setdefault(read_new(row), []).append(row)
+            read_old = _column_reader(
+                database.column(old_key.key), position[old_key.table]
+            )
+            assignments = [
+                assignment + (row,)
+                for assignment in assignments
+                for row in buckets.get(read_old(assignment), ())
+            ]
+            position[table] = len(position)
             remaining.remove(table)
             progressed = True
         if not progressed:
             raise ValueError("disconnected join graph in reference evaluator")
 
+    def compile_joined(expr: Expression) -> Compiled:
+        def leaf(ref: ColumnRef) -> Compiled:
+            column = database.column(ref.key)
+            return _column_reader(column, position[ref.table])
+
+        return _compile(expr, leaf)
+
     # 3. Output.
     if spec.is_aggregation:
-        rows = _aggregate(spec, assignments, row_getter)
+        rows = _aggregate(spec, assignments, compile_joined)
         if spec.having is not None:
             rows = _apply_having(spec, rows)
     else:
-        rows = [
-            tuple(_scalar(expr, row_getter(a)) for _, expr in spec.select_items)
-            for a in assignments
-        ]
+        outputs = [compile_joined(expr) for _, expr in spec.select_items]
+        rows = [tuple([output(a) for output in outputs]) for a in assignments]
         if spec.distinct:
             seen = set()
             deduped = []
@@ -180,8 +209,6 @@ def execute_reference(spec: "QuerySpec", database: Database) -> List[tuple]:
     if spec.order_by:
         names = _output_names(spec)
         indices = [(names.index(name), asc) for name, asc in spec.order_by]
-
-        import functools
 
         def compare(a, b):
             for index, ascending in indices:
@@ -203,14 +230,10 @@ def _apply_having(spec, rows: List[tuple]) -> List[tuple]:
     """Filter aggregated rows by the HAVING predicate."""
     names = _output_names(spec)
 
-    def keep(row):
-        def getval(key: str):
-            name = key.partition(".")[2] or key
-            return row[names.index(name)]
+    def leaf(ref: ColumnRef) -> Compiled:
+        return operator.itemgetter(names.index(ref.name))
 
-        return _scalar(spec.having, getval)
-
-    return [row for row in rows if keep(row)]
+    return list(filter(_compile(spec.having, leaf), rows))
 
 
 def _output_names(spec: "QuerySpec") -> List[str]:
@@ -221,29 +244,30 @@ def _output_names(spec: "QuerySpec") -> List[str]:
     return [alias for alias, _ in spec.select_items]
 
 
-def _aggregate(spec, assignments, row_getter) -> List[tuple]:
-    groups: Dict[tuple, List[Dict[str, int]]] = {}
+def _aggregate(spec, assignments, compile_joined) -> List[tuple]:
+    group_key = [compile_joined(ref) for ref in spec.group_by]
+    groups: Dict[tuple, List[Tuple[int, ...]]] = {}
     for assignment in assignments:
-        getval = row_getter(assignment)
-        key = tuple(_scalar(ref, getval) for ref in spec.group_by)
+        key = tuple([read(assignment) for read in group_key])
         groups.setdefault(key, []).append(assignment)
     # A scalar aggregate over zero rows still yields one row.
     if not spec.group_by and not groups:
         groups[()] = []
+    inputs = [compile_joined(aggregate.expr) for aggregate in spec.aggregates]
     rows = []
     for key in sorted(groups):
         members = groups[key]
         values = list(key)
-        for aggregate in spec.aggregates:
-            values.append(_apply_aggregate(aggregate, members, row_getter))
+        for aggregate, expr in zip(spec.aggregates, inputs):
+            values.append(_apply_aggregate(aggregate, members, expr))
         rows.append(tuple(values))
     return rows
 
 
-def _apply_aggregate(aggregate: Aggregate, members, row_getter):
+def _apply_aggregate(aggregate: Aggregate, members, expr: Compiled):
     if aggregate.func == "count":
         return len(members)
-    data = [_scalar(aggregate.expr, row_getter(a)) for a in members]
+    data = [expr(a) for a in members]
     if aggregate.func == "sum":
         return sum(data) if data else 0
     if aggregate.func == "avg":
