@@ -5,8 +5,8 @@ Exercises ``repro.engine.morsel`` and the shared-memory
 tentpole guarantees:
 
 * **fused speedup** — the SSB batch on the fused morsel path beats the
-  operator-at-a-time engine (kernels on, plan cache off so every run
-  re-executes) by at least ``FUSED_TARGET``;
+  operator-at-a-time engine (plan cache dropped before every query so
+  every run re-executes) by at least ``FUSED_TARGET``;
 * **parallel speedup** — a pre-started pool of fused workers over
   shared-memory columns beats the sequential baseline by at least
   ``PARALLEL_TARGET`` at ``jobs=2`` (pool start-up, the shm export,
@@ -44,6 +44,7 @@ sys.path.insert(
 )
 
 from repro.engine import kernels, morsel, plan_cache  # noqa: E402
+from repro.hardware import SystemConfig  # noqa: E402
 from repro.engine.execution.functional import execute_functional  # noqa: E402
 from repro.workloads import ssb, tpch  # noqa: E402
 
@@ -87,12 +88,15 @@ def _digest(rows) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
-def _batch(database, queries):
-    return {
-        query.name: execute_functional(
-            query.instantiate(), database).payload.row_tuples()
-        for query in queries
-    }
+def _run(database, query, morsel_rows):
+    plan_cache.invalidate(database)  # every run must re-execute
+    return execute_functional(query.instantiate(), database,
+                              morsel_rows).payload.row_tuples()
+
+
+def _batch(database, queries, morsel_rows=None):
+    return {query.name: _run(database, query, morsel_rows)
+            for query in queries}
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +117,10 @@ def bench_speedups():
     digests = {name: _digest(rows) for name, rows in base_rows.items()}
 
     morsel.reset_stats()
-    with morsel.active():
-        _batch(database, queries)  # warm the fused-path caches
-        fused_seconds, fused_rows = _best(
-            lambda: _batch(database, queries), SIZES["reps"])
+    rows = morsel.DEFAULT_MORSEL_ROWS
+    _batch(database, queries, rows)  # warm the fused-path caches
+    fused_seconds, fused_rows = _best(
+        lambda: _batch(database, queries, rows), SIZES["reps"])
     stats = morsel.snapshot_stats()
     fused_digests = {name: _digest(rows)
                      for name, rows in fused_rows.items()}
@@ -189,8 +193,7 @@ def gate_identity():
         queries = module.workload(database)
         reference = _batch(database, queries)
         for rows_per_morsel in MORSEL_SIZES:
-            with morsel.active(rows_per_morsel):
-                fused = _batch(database, queries)
+            fused = _batch(database, queries, rows_per_morsel)
             for name in reference:
                 checked += 1
                 if fused[name] != reference[name]:
@@ -211,7 +214,6 @@ def gate_identity():
 def gate_zero_overhead():
     from repro.harness import experiments as E
     from repro.harness.runner import run_workload
-    from repro.hardware import SystemConfig
 
     # Engine level: with morsels off, the fused path is never consulted.
     database = ssb.generate(scale_factor=1.0,
@@ -235,14 +237,15 @@ def gate_zero_overhead():
             for name, table in run.results.items()
         ))))
     (plain_seconds, plain_digest), (knob_seconds, knob_digest) = runs
+    disabled_by_default = not SystemConfig().morsels
     return {
         "engine_counters_zero": counters_zero,
-        "disabled_by_default": not morsel.enabled(),
+        "disabled_by_default": disabled_by_default,
         "plain_seconds": plain_seconds,
         "inert_knob_seconds": knob_seconds,
         "timings_identical": plain_seconds == knob_seconds,
         "results_identical": plain_digest == knob_digest,
-        "identical": (counters_zero and not morsel.enabled()
+        "identical": (counters_zero and disabled_by_default
                       and plain_seconds == knob_seconds
                       and plain_digest == knob_digest),
     }
@@ -254,14 +257,12 @@ def gate_zero_overhead():
 def main() -> int:
     print("morsel benchmark: jobs={}, cpus={}{}".format(
         SIZES["jobs"], os.cpu_count(), ", REPRO_FAST" if FAST else ""))
-    plan_cache.enable(False)  # every run must re-execute
-    kernels.enable(True)
     try:
         report = {
             "benchmark": "fused_morsels",
             "cpu_count": os.cpu_count(),
             "fast_mode": FAST,
-            "morsel_rows": morsel.morsel_rows(),
+            "morsel_rows": morsel.DEFAULT_MORSEL_ROWS,
             "gates": {},
         }
 
@@ -287,10 +288,6 @@ def main() -> int:
 
         report["morsel_stats"] = stats
     finally:
-        plan_cache.enable(True)
-        kernels.enable(True)
-        morsel.enable(False)
-        morsel.set_morsel_rows(None)
         kernels.invalidate()
 
     report["all_gates_pass"] = all(

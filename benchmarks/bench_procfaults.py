@@ -45,7 +45,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from repro.engine import kernels, morsel, plan_cache  # noqa: E402
+from repro.engine import kernels, plan_cache  # noqa: E402
 from repro.engine.execution.functional import execute_functional  # noqa: E402
 from repro.faults import FaultConfig  # noqa: E402
 from repro.workloads import ssb, tpch  # noqa: E402
@@ -135,7 +135,6 @@ def gate_chaos_soak():
     from repro.storage import shm
 
     per_benchmark = {}
-    morsel.set_morsel_rows(SOAK_MORSEL_ROWS)
     for name, database in _databases():
         module = {"ssb": ssb, "tpch": tpch}[name]
         queries = module.workload(database)
@@ -149,7 +148,8 @@ def gate_chaos_soak():
                 with MorselPool(database, queries, workload=name,
                                 jobs=SIZES["jobs"], faults=faults,
                                 heartbeat_seconds=(
-                                    HEARTBEAT if faults else None)) as pool:
+                                    HEARTBEAT if faults else None),
+                                morsel_rows=SOAK_MORSEL_ROWS) as pool:
                     pool.warm()
                     batches = []
                     start = time.perf_counter()
@@ -226,12 +226,12 @@ def gate_determinism():
 
     database = _aux_database()
     queries = ssb.workload(database)
-    morsel.set_morsel_rows(SOAK_MORSEL_ROWS)
 
     def soak():
         with MorselPool(database, queries, jobs=SIZES["jobs"],
                         faults=FaultConfig(**CHAOS_SPEC),
-                        heartbeat_seconds=HEARTBEAT) as pool:
+                        heartbeat_seconds=HEARTBEAT,
+                        morsel_rows=SOAK_MORSEL_ROWS) as pool:
             rows = _digest(sorted(_pool_rows(pool.run_queries()).items()))
             return (rows, pool.process_fault_digest,
                     pool.process_fault_report())
@@ -259,7 +259,8 @@ def gate_zero_overhead():
     queries = ssb.workload(database)
     reference = {q: _digest(rows)
                  for q, rows in _batch(database, queries).items()}
-    with MorselPool(database, queries, jobs=SIZES["jobs"]) as pool:
+    with MorselPool(database, queries, jobs=SIZES["jobs"],
+                    morsel_rows=SOAK_MORSEL_ROWS) as pool:
         rows = {q: _digest(r)
                 for q, r in _pool_rows(pool.run_queries()).items()}
         counters = {key: pool.counters[key] for key in (
@@ -292,7 +293,7 @@ def gate_quarantine():
                  for q, rows in _batch(database, queries).items()}
     faults = FaultConfig(crash=0.2, crash_repeats=2, seed=3)
     with MorselPool(database, queries, jobs=SIZES["jobs"],
-                    faults=faults) as pool:
+                    faults=faults, morsel_rows=SOAK_MORSEL_ROWS) as pool:
         rows = {q: _digest(r)
                 for q, r in _pool_rows(pool.run_queries()).items()}
         planned = pool.process_fault_summary().get("crash", 0)
@@ -367,9 +368,6 @@ def main() -> int:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
         return 0
-    plan_cache.enable(False)
-    kernels.enable(True)
-    morsel.enable(False)
     try:
         report = {
             "benchmark": "process_faults",
@@ -409,10 +407,6 @@ def main() -> int:
               "(hedges_started={hedges_started})"
               .format(**report["gates"]["composition"]))
     finally:
-        plan_cache.enable(True)
-        kernels.enable(True)
-        morsel.enable(False)
-        morsel.set_morsel_rows(None)
         kernels.invalidate()
 
     report["all_gates_pass"] = all(

@@ -436,8 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: operator-at-a-time)")
     runner.add_argument("--morsel-rows", type=int, default=None,
                         metavar="N",
-                        help="rows per morsel (default: $REPRO_MORSEL_ROWS "
-                             "or 65536)")
+                        help="rows per morsel (default: 65536)")
     runner.add_argument("--split", action="store_true",
                         help="intra-operator co-processing: divide each "
                              "eligible operator between the CPU and a GPU "

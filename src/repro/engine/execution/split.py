@@ -49,7 +49,7 @@ dispatch hook is a single ``is not None`` test.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, List, Optional
 
 from repro.engine import morsel
 from repro.engine.execution.functional import execute_functional
@@ -84,23 +84,17 @@ DEADLINE_SAFETY = 2.0
 
 def merged_split_result(pipe, boundaries):
     """Run ``pipe`` as chunks cut at ``boundaries`` and merge at the
-    breaker — the same absorb/replay/finalize/tail sequence the morsel
-    pool applies.  Returns the root :class:`OperatorResult`."""
+    breaker — the same absorb/finish sequence the morsel pool applies.
+    Returns the root :class:`OperatorResult`."""
     rows = pipe.fact_rows
     edges = sorted({0, rows}
                    | {min(max(int(b), 0), rows) for b in boundaries})
     chunks = (list(zip(edges[:-1], edges[1:]))
               if rows > 0 else [(0, 0)])
     acc = pipe.new_accumulator()
-    totals: Optional[Tuple[int, ...]] = None
     for start, stop in chunks:
-        partial = pipe.run_chunk(start, stop)
-        pipe.absorb(acc, partial)
-        totals = (partial.chain_counts if totals is None else
-                  tuple(a + b for a, b in
-                        zip(totals, partial.chain_counts)))
-    _, prev_nominal = pipe.replay_nominal(totals)
-    return pipe.run_tail(pipe.finalize(acc, prev_nominal))
+        pipe.absorb(acc, pipe.run_chunk(start, stop))
+    return pipe.finish(acc)
 
 
 class SplitState:
@@ -134,7 +128,8 @@ class SplitState:
         """None when the query may split, else the decline reason."""
         try:
             reference = execute_functional(query.instantiate(), database)
-            pipe = morsel.build(query.instantiate(), database)
+            pipe = morsel.build(query.instantiate(), database,
+                                morsel.config_rows(self.config))
             if not pipe.supports_partials:
                 return "no_partials"
             rows = pipe.fact_rows
@@ -142,12 +137,7 @@ class SplitState:
                          [rows // 4, rows // 2, (3 * rows) // 4])
             for boundaries in schedules:
                 merged = merged_split_result(pipe, boundaries)
-                if (merged.payload.row_tuples()
-                        != reference.payload.row_tuples()
-                        or merged.actual_rows != reference.actual_rows
-                        or merged.nominal_rows != reference.nominal_rows
-                        or merged.row_width_bytes
-                        != reference.row_width_bytes):
+                if not morsel.same_result(merged, reference):
                     return "identity"
             return None
         except morsel.Decline as decline:

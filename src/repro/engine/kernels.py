@@ -21,7 +21,6 @@ Everything here is a pure acceleration: the produced tid sets and masks
 are byte-identical to the unaccelerated operators.  The cache registers
 itself with :mod:`repro.engine.caches`, so ``compress_database`` and
 ``clear_database_caches`` invalidate it alongside the plan cache.
-``enable(False)`` restores the seed execution paths wholesale.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ BLOCK_ENV = "REPRO_ZONE_BLOCK"
 #: sorting the filtered values (the seed path) instead.
 _EXPAND_FALLBACK_FACTOR = 4
 
-_enabled = True
 _block_rows_override: Optional[int] = None
 
 #: database -> KernelCache
@@ -77,16 +75,6 @@ stats = {
     "lookup_hits": 0,
     "bounds_builds": 0,
 }
-
-
-def enable(on: bool = True) -> None:
-    """Globally enable or disable kernel acceleration."""
-    global _enabled
-    _enabled = on
-
-
-def enabled() -> bool:
-    return _enabled
 
 
 def reset_stats() -> None:
@@ -278,10 +266,8 @@ class KernelCache:
         )
 
 
-def cache_for(database) -> Optional[KernelCache]:
-    """The database's kernel cache, or None when acceleration is off."""
-    if not _enabled:
-        return None
+def cache_for(database) -> KernelCache:
+    """The database's kernel cache (created on first use)."""
     cache = _caches.get(database)
     if cache is None:
         cache = KernelCache()

@@ -41,15 +41,15 @@ When a plan shape falls outside the fused form the pipeline declines
 unfused path; when only the dense aggregation is ineligible the
 scan/join chain still fuses and the breaker runs once at a barrier.
 
-The path is opt-in (``SystemConfig(morsels=True)`` / ``--morsels`` /
-:func:`enable`) and costs a single boolean check when disabled.
+The path is opt-in: ``SystemConfig(morsels=True)`` / ``--morsels`` make
+the harness pass a morsel size to
+:func:`~repro.engine.execution.functional.execute_functional`; without
+one, execution stays operator-at-a-time.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -73,17 +73,13 @@ from repro.engine.operators.scan import RefineSelect, ScanSelect
 from repro.engine.operators.sort import Limit, Sort
 from repro.storage.types import ColumnType
 
-#: Environment knob: rows per morsel (default 64K, roughly the L2-sized
-#: ranges morsel-driven schedulers hand out).
-MORSEL_ROWS_ENV = "REPRO_MORSEL_ROWS"
+#: Rows per morsel unless the config says otherwise: 64K, roughly the
+#: L2-sized ranges morsel-driven schedulers hand out.
 DEFAULT_MORSEL_ROWS = 65536
 
 #: Dense group-id domains above this decline to the barrier aggregate:
 #: the accumulators would outweigh the rows they summarise.
 GROUP_DOMAIN_CAP = 1 << 21
-
-_enabled = False
-_morsel_rows_override: Optional[int] = None
 
 #: Event counters for metrics, benchmarks, and tests.
 stats = {
@@ -107,16 +103,6 @@ stats = {
 decline_reasons: Counter = Counter()
 
 
-def enable(on: bool = True) -> None:
-    """Globally enable or disable the fused morsel path."""
-    global _enabled
-    _enabled = on
-
-
-def enabled() -> bool:
-    return _enabled
-
-
 def reset_stats() -> None:
     for key in stats:
         stats[key] = 0
@@ -127,37 +113,18 @@ def snapshot_stats() -> Dict[str, int]:
     return dict(stats)
 
 
-def morsel_rows() -> int:
-    """Effective morsel size: override > $REPRO_MORSEL_ROWS > 64K."""
-    if _morsel_rows_override is not None:
-        return _morsel_rows_override
-    raw = os.environ.get(MORSEL_ROWS_ENV, "").strip()
-    if raw:
-        return max(int(raw), 1)
-    return DEFAULT_MORSEL_ROWS
+def config_rows(config) -> int:
+    """Rows per morsel under a :class:`~repro.hardware.SystemConfig`."""
+    return config.morsel_rows or DEFAULT_MORSEL_ROWS
 
 
-def set_morsel_rows(rows: Optional[int]) -> None:
-    """Override the morsel size (None restores env/default)."""
-    global _morsel_rows_override
-    if rows is not None and int(rows) < 1:
-        raise ValueError("morsel_rows must be >= 1")
-    _morsel_rows_override = None if rows is None else int(rows)
-
-
-@contextmanager
-def active(rows: Optional[int] = None):
-    """Temporarily enable the fused path (optionally at ``rows``/morsel)."""
-    prev_enabled = _enabled
-    prev_rows = _morsel_rows_override
-    enable(True)
-    if rows is not None:
-        set_morsel_rows(rows)
-    try:
-        yield
-    finally:
-        enable(prev_enabled)
-        set_morsel_rows(prev_rows)
+def same_result(a: OperatorResult, b: OperatorResult) -> bool:
+    """True when two results are byte-identical: rows, actual and
+    nominal row counts, and row width."""
+    return (a.payload.row_tuples() == b.payload.row_tuples()
+            and a.actual_rows == b.actual_rows
+            and a.nominal_rows == b.nominal_rows
+            and a.row_width_bytes == b.row_width_bytes)
 
 
 class Decline(Exception):
@@ -394,9 +361,10 @@ class MorselPartial:
 class _Accumulator:
     """Breaker-side merge state for one pooled execution."""
 
-    __slots__ = ("kind", "counts", "sums", "extrema", "comps", "chunks")
+    __slots__ = ("kind", "counts", "sums", "extrema", "comps", "chunks",
+                 "totals")
 
-    def __init__(self, kind):
+    def __init__(self, kind, n_chain):
         self.kind = kind
         self.counts = None
         self.sums: Dict[str, np.ndarray] = {}
@@ -404,6 +372,8 @@ class _Accumulator:
         #: Neumaier compensation terms for float sum/avg aliases
         self.comps: Dict[str, np.ndarray] = {}
         self.chunks: List[MorselPartial] = []
+        #: summed output rows per chain operator (see ``chain_counts``)
+        self.totals: Tuple[int, ...] = (0,) * n_chain
 
 
 class FusedPipeline:
@@ -416,13 +386,13 @@ class FusedPipeline:
       byte-identical result tuples.
     * *pooled*: :meth:`run_morsel` with ``collect=True`` returns a
       small picklable :class:`MorselPartial` per range; the scheduling
-      side merges them with :meth:`absorb` / :meth:`finalize` and
-      applies :meth:`run_tail`.
+      side merges them with :meth:`absorb` and :meth:`finish`.
     """
 
-    def __init__(self, plan, database):
+    def __init__(self, plan, database, morsel_rows: int):
         self.plan = plan
         self.database = database
+        self.morsel_rows = morsel_rows
         self.fact_table: str = ""
         self.fact_rows: int = 0
         self.scan_op: Optional[ScanSelect] = None
@@ -454,7 +424,7 @@ class FusedPipeline:
         rows = self.fact_rows
         if rows == 0:
             return [(0, 0)]
-        size = morsel_rows()
+        size = self.morsel_rows
         return [(start, min(start + size, rows))
                 for start in range(0, rows, size)]
 
@@ -603,11 +573,12 @@ class FusedPipeline:
     # -- merging (pooled) ---------------------------------------------
 
     def new_accumulator(self) -> _Accumulator:
+        n_chain = len(self.covered_ops) - 1
         if self.breaker_kind == "frame":
-            return _Accumulator("frame")
+            return _Accumulator("frame", n_chain)
         if self.dense is None:
             raise Decline("no_partials")
-        acc = _Accumulator("agg")
+        acc = _Accumulator("agg", n_chain)
         acc.counts = np.zeros(self.dense.domain, dtype=np.int64)
         for term in self.dense.aggs:
             aggregate = term.aggregate
@@ -630,6 +601,8 @@ class FusedPipeline:
         if partial.kind == "none":
             return
         stats["partial_merges"] += 1
+        acc.totals = tuple(a + b for a, b in
+                           zip(acc.totals, partial.chain_counts))
         if partial.kind == "frame":
             acc.chunks.append(partial)
             return
@@ -801,6 +774,12 @@ class FusedPipeline:
             result = op.run(self.database, [result])
         return result
 
+    def finish(self, acc: _Accumulator) -> OperatorResult:
+        """Root result of a merged execution: replay the chain's nominal
+        rows, build the breaker result, and apply the tail."""
+        _, prev_nominal = self.replay_nominal(acc.totals)
+        return self.run_tail(self.finalize(acc, prev_nominal))
+
     # -- chunked execution (worker side of the morsel pool) ------------
 
     def run_chunk(self, start: int, stop: int,
@@ -814,8 +793,7 @@ class FusedPipeline:
         a slow chunk from a hung process.
         """
         acc = self.new_accumulator()
-        totals: Optional[Tuple[int, ...]] = None
-        size = morsel_rows()
+        size = self.morsel_rows
         spans = ([(start, stop)] if start == stop
                  else [(pos, min(pos + size, stop))
                        for pos in range(start, stop, size)])
@@ -825,15 +803,9 @@ class FusedPipeline:
             if progress is not None:
                 progress()
             self.absorb(acc, partial)
-            totals = (partial.chain_counts if totals is None else
-                      tuple(a + b for a, b in
-                            zip(totals, partial.chain_counts)))
-        if totals is None:
-            totals = tuple(0 for _ in self.covered_ops[:-1])
-        return self._pack_chunk(start, acc, totals)
+        return self._pack_chunk(start, acc)
 
-    def _pack_chunk(self, index: int, acc: _Accumulator,
-                    totals: Tuple[int, ...]) -> MorselPartial:
+    def _pack_chunk(self, index: int, acc: _Accumulator) -> MorselPartial:
         if acc.kind == "frame":
             acc.chunks.sort(key=lambda partial: partial.index)
             frame = {
@@ -843,7 +815,7 @@ class FusedPipeline:
                 for alias, _ in self.breaker.items
             }
             return MorselPartial(index, "frame", frame=frame,
-                                 chain_counts=totals)
+                                 chain_counts=acc.totals)
         present = np.flatnonzero(acc.counts)
         values: Dict[str, np.ndarray] = {}
         for term in self.dense.aggs:
@@ -863,7 +835,7 @@ class FusedPipeline:
                 )
         return MorselPartial(index, "agg", present=present,
                              counts=acc.counts[present], values=values,
-                             chain_counts=totals)
+                             chain_counts=acc.totals)
 
     def replay_nominal(self, totals: Tuple[int, ...]) -> Tuple[int, int]:
         """(actual, nominal) rows of the chain's last operator, replayed
@@ -1129,13 +1101,12 @@ def _prepare_dense_aggregate(pipe: FusedPipeline, cache) -> None:
                                  grouped=bool(breaker.group_refs))
 
 
-def build(plan, database) -> FusedPipeline:
-    """Analyse and bind ``plan``; raises :class:`Decline` when the plan
-    cannot run fused."""
+def build(plan, database,
+          morsel_rows: int = DEFAULT_MORSEL_ROWS) -> FusedPipeline:
+    """Analyse and bind ``plan`` to run ``morsel_rows`` fact rows per
+    morsel; raises :class:`Decline` when the plan cannot run fused."""
     cache = kernels.cache_for(database)
-    if cache is None:
-        raise Decline("kernels_disabled")
-    pipe = FusedPipeline(plan, database)
+    pipe = FusedPipeline(plan, database, morsel_rows)
     _analyze_structure(pipe)
     pipe.fact_rows = database.table(pipe.fact_table).actual_rows
     _prepare_probers(pipe, cache)
@@ -1144,7 +1115,8 @@ def build(plan, database) -> FusedPipeline:
     return pipe
 
 
-def execute_direct(plan, database) -> Optional[OperatorResult]:
+def execute_direct(plan, database,
+                   morsel_rows: int) -> Optional[OperatorResult]:
     """Serve a ``Limit``-rooted plan straight from the fused chain with
     cross-chunk early termination, or return None.
 
@@ -1178,30 +1150,22 @@ def execute_direct(plan, database) -> Optional[OperatorResult]:
             # the ordinary path serves the memo for free — and the
             # direct path must never shadow recorded full results
             raise Decline("limit_memoised")
-        pipe = build(plan, database)
+        pipe = build(plan, database, morsel_rows)
         if pipe.breaker_kind != "frame":
             raise Decline("limit_breaker")
         if pipe.tail != [root]:
             raise Decline("limit_tail")
         acc = pipe.new_accumulator()
-        totals: Optional[Tuple[int, ...]] = None
-        gathered = 0
         stopped_at: Optional[int] = None
         for start, stop in pipe.ranges():
-            partial = pipe.run_morsel(start, stop, index=start,
-                                      collect=True)
-            pipe.absorb(acc, partial)
-            totals = (partial.chain_counts if totals is None else
-                      tuple(a + b for a, b in
-                            zip(totals, partial.chain_counts)))
-            gathered += partial.chain_counts[-1]
-            if gathered >= root.n:
+            pipe.absorb(acc, pipe.run_morsel(start, stop, index=start,
+                                             collect=True))
+            if acc.totals[-1] >= root.n:
                 stopped_at = stop
                 break
         if not acc.chunks:
             raise Decline("limit_empty")
-        _, prev_nominal = pipe.replay_nominal(totals)
-        result = pipe.run_tail(pipe.finalize(acc, prev_nominal))
+        result = pipe.finish(acc)
     except Decline as decline:
         reason = decline.reason
         if not reason.startswith("limit_"):
@@ -1218,13 +1182,13 @@ def execute_direct(plan, database) -> Optional[OperatorResult]:
     return result
 
 
-def prepare_fused(plan, database) -> bool:
+def prepare_fused(plan, database, morsel_rows: int) -> bool:
     """Record-mode fused execution: run the plan's fused chain and fill
     the covered operators' memos.  Returns True when the plan ran fused
     (the executor loop then serves memoised results), False when fusion
     declined or everything was already memoised."""
     try:
-        pipe = build(plan, database)
+        pipe = build(plan, database, morsel_rows)
         if all(
             op._cached_result is not None
             or plan_cache.peek(database, op.fingerprint()) is not None

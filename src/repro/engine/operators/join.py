@@ -112,11 +112,10 @@ class HashJoin(PhysicalOperator):
         cached = None
         build_selection = build_payload.selection(self.build_key.table)
         if build_selection is not None and len(build_payload.tables) == 1:
-            cache = kernels.cache_for(database)
-            if cache is not None:
-                cached = kernels.expand_with_index(
-                    cache, probe_values, build_selection, build_column
-                )
+            cached = kernels.expand_with_index(
+                kernels.cache_for(database), probe_values, build_selection,
+                build_column
+            )
         if cached is not None:
             probe_idx, build_tids = cached
             build_tables = {self.build_key.table: build_tids}

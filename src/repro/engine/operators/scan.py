@@ -62,33 +62,23 @@ class ScanSelect(PhysicalOperator):
     def run(self, database: Database,
             child_results: List[OperatorResult]) -> OperatorResult:
         table = database.table(self.table)
-        cache = kernels.cache_for(database)
         if self.predicate is None:
-            if cache is not None:
-                entry = SelectionVector(n=table.actual_rows)
-            else:
-                entry = np.arange(table.actual_rows, dtype=np.int64)
             # No materialised intermediate: downstream operators read
             # the base columns directly.
             return OperatorResult(
-                TidSet({self.table: entry}),
+                TidSet({self.table: SelectionVector(n=table.actual_rows)}),
                 actual_rows=table.actual_rows,
                 nominal_rows=table.nominal_rows,
                 row_width_bytes=0,
             )
-        if cache is not None:
-            mask = kernels.scan_mask(database, self.table, self.predicate,
-                                     cache)
-            if mask is None:
-                mask = np.asarray(
-                    self.predicate.evaluate(Frame(database)), dtype=bool
-                )
-            entry = SelectionVector(mask)
-            n_out = len(entry)
-        else:
-            mask = self.predicate.evaluate(Frame(database))
-            entry = np.flatnonzero(mask)
-            n_out = len(entry)
+        mask = kernels.scan_mask(database, self.table, self.predicate,
+                                 kernels.cache_for(database))
+        if mask is None:
+            mask = np.asarray(
+                self.predicate.evaluate(Frame(database)), dtype=bool
+            )
+        entry = SelectionVector(mask)
+        n_out = len(entry)
         nominal = scaled_nominal_rows(n_out, table.actual_rows,
                                       table.nominal_rows)
         return OperatorResult(
@@ -144,7 +134,7 @@ class RefineSelect(PhysicalOperator):
             child_results: List[OperatorResult]) -> OperatorResult:
         (child,) = child_results
         selection = child.payload.selection(self.table)
-        if selection is not None and kernels.enabled():
+        if selection is not None:
             # Lazy path: evaluate the predicate over the full column
             # (elementwise, so restriction commutes with evaluation)
             # and AND the masks — no gather, no flatnonzero.
@@ -201,7 +191,7 @@ class TidIntersect(PhysicalOperator):
         left, right = child_results
         left_sel = left.payload.selection(self.table)
         right_sel = right.payload.selection(self.table)
-        if left_sel is not None and right_sel is not None and kernels.enabled():
+        if left_sel is not None and right_sel is not None:
             kernels.stats["masked_intersects"] += 1
             if left_sel.mask is None:
                 entry = right_sel

@@ -25,25 +25,14 @@ from repro.engine import caches
 
 #: database -> {fingerprint: (payload, actual_rows, nominal_rows, width)}
 _cache: "WeakKeyDictionary" = WeakKeyDictionary()
-_enabled = True
 
 #: hit/miss counters for benchmarking and tests
 stats = {"hits": 0, "misses": 0, "stores": 0}
 
 
-def enable(on: bool = True) -> None:
-    """Globally enable or disable cross-plan memoisation."""
-    global _enabled
-    _enabled = on
-
-
-def enabled() -> bool:
-    return _enabled
-
-
 def lookup(database, fingerprint) -> Optional[Tuple]:
     """Cached result tuple for ``fingerprint`` on ``database``, if any."""
-    if not _enabled or fingerprint is None:
+    if fingerprint is None:
         return None
     per_db = _cache.get(database)
     if per_db is None:
@@ -62,7 +51,7 @@ def peek(database, fingerprint) -> Optional[Tuple]:
 
     Used by the morsel layer's already-memoised check, which must not
     distort the statistics the executor loop reports."""
-    if not _enabled or fingerprint is None:
+    if fingerprint is None:
         return None
     per_db = _cache.get(database)
     return None if per_db is None else per_db.get(fingerprint)
@@ -70,7 +59,7 @@ def peek(database, fingerprint) -> Optional[Tuple]:
 
 def store(database, fingerprint, cached: Tuple) -> None:
     """Memoise one result tuple under ``fingerprint``."""
-    if not _enabled or fingerprint is None:
+    if fingerprint is None:
         return
     per_db = _cache.get(database)
     if per_db is None:

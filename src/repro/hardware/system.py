@@ -68,7 +68,8 @@ class SystemConfig:
     #: cache-sized row ranges, byte-identical to the reference path.
     #: Off by default — the operator-at-a-time engine is the baseline.
     morsels: bool = False
-    #: rows per morsel (None = $REPRO_MORSEL_ROWS or the 64K default)
+    #: rows per morsel for fused execution, the split gate and the
+    #: morsel pool (None = the 64K default)
     morsel_rows: Optional[int] = None
     #: intra-operator split execution (repro.engine.execution.split):
     #: one operator's morsel range divided between CPU and GPU by a

@@ -42,6 +42,7 @@ from multiprocessing import connection as mp_connection
 from time import monotonic
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.engine import morsel
 from repro.hardware import SystemConfig
 from repro.harness.runner import run_workload, workload_footprint_bytes
 from repro.storage import shm
@@ -357,17 +358,15 @@ def run_cells(cells: Iterable[Cell],
 _pool_state: Dict[str, object] = {}
 
 
-def _morsel_worker_init(manifest, workload) -> None:
+def _morsel_worker_init(manifest, workload, morsel_rows: int) -> None:
     """Attach the shared database and build the workload's plans once.
 
     ``workload`` is ``"ssb"`` / ``"tpch"`` (module lookup) or a tuple of
     ``(name, sql)`` pairs for custom SQL workloads.
     """
-    from repro.engine import kernels
     from repro.workloads import ssb, tpch
     from repro.workloads.base import sql_workload
 
-    kernels.enable(True)
     database = shm.attach_database(manifest)
     if workload in ("ssb", "tpch"):
         queries = {"ssb": ssb, "tpch": tpch}[workload].workload(database)
@@ -376,17 +375,17 @@ def _morsel_worker_init(manifest, workload) -> None:
     _pool_state["database"] = database
     _pool_state["queries"] = {query.name: query for query in queries}
     _pool_state["pipelines"] = {}
+    _pool_state["morsel_rows"] = morsel_rows
 
 
 def _morsel_chunk(name: str, start: int, stop: int, progress=None):
     """Worker task: fused execution of one chunk of fact-table rows."""
-    from repro.engine import morsel
-
     pipelines = _pool_state["pipelines"]
     pipe = pipelines.get(name)
     if pipe is None:
         query = _pool_state["queries"][name]
-        pipe = morsel.build(query.instantiate(), _pool_state["database"])
+        pipe = morsel.build(query.instantiate(), _pool_state["database"],
+                            _pool_state["morsel_rows"])
         pipelines[name] = pipe
     return pipe.run_chunk(start, stop, progress=progress)
 
@@ -413,7 +412,7 @@ except ImportError:  # pragma: no cover
     _shm_module = None
 
 
-def _pool_worker_main(index: int, manifest, workload,
+def _pool_worker_main(index: int, manifest, workload, morsel_rows: int,
                       task_r, result_w, heartbeat_seconds=None) -> None:
     """Worker process main loop: recv chunk tasks, send partials.
 
@@ -433,7 +432,7 @@ def _pool_worker_main(index: int, manifest, workload,
 
     shm.forget_exports()  # fork-inherited exports belong to the parent
     try:
-        _morsel_worker_init(manifest, workload)
+        _morsel_worker_init(manifest, workload, morsel_rows)
     except shm.ShmIntegrityError as exc:
         result_w.send(("init", index, False, "integrity", repr(exc)))
         return
@@ -596,7 +595,8 @@ class MorselPool:
     partials locally and ships ONE picklable partial back; the parent
     merges partials at the pipeline breaker, replays the nominal-row
     arithmetic, and applies the tail operators.  Results are
-    byte-identical to sequential execution.
+    byte-identical to sequential execution.  A morsel spans
+    ``morsel_rows`` fact rows.
 
     The pool owns its workers directly (no ``ProcessPoolExecutor``, which
     condemns the whole pool on one death) and heals around process
@@ -625,13 +625,15 @@ class MorselPool:
                  jobs: Optional[int] = None, faults=None,
                  heartbeat_seconds: Optional[float] = None,
                  max_restarts: int = 16, poison_threshold: int = 2,
-                 reap: bool = True):
+                 reap: bool = True,
+                 morsel_rows: int = morsel.DEFAULT_MORSEL_ROWS):
         from repro.faults import FaultConfig, ProcessFaultInjector
 
         if workload not in ("ssb", "tpch", "sql"):
             raise ValueError("MorselPool supports 'ssb', 'tpch', and 'sql'")
         self.database = database
         self.workload = workload
+        self.morsel_rows = morsel_rows
         if workload == "sql":
             missing = [q.name for q in queries if q.sql is None]
             if missing:
@@ -673,7 +675,8 @@ class MorselPool:
         process = self._ctx.Process(
             target=_pool_worker_main,
             args=(index, self._manifest, self._workload_spec,
-                  task_r, result_w, self.heartbeat_seconds),
+                  self.morsel_rows, task_r, result_w,
+                  self.heartbeat_seconds),
             daemon=True,
         )
         process.start()
@@ -937,13 +940,12 @@ class MorselPool:
 
     def run_query(self, name: str):
         """Execute one workload query; returns its root OperatorResult."""
-        from repro.engine import morsel
         from repro.engine.execution.functional import execute_functional
 
         query = self._queries[name]
         plan = query.instantiate()
         try:
-            pipe = morsel.build(plan, self.database)
+            pipe = morsel.build(plan, self.database, self.morsel_rows)
         except morsel.Decline:
             pipe = None
         if pipe is None or not pipe.supports_partials:
@@ -975,14 +977,9 @@ class MorselPool:
                 # engine bug): the parent recomputes alone.
                 return self._run_fallback(query)
         acc = pipe.new_accumulator()
-        totals = None
         for partial in sorted(partials, key=lambda p: p.index):
             pipe.absorb(acc, partial)
-            totals = (partial.chain_counts if totals is None else
-                      tuple(a + b for a, b in
-                            zip(totals, partial.chain_counts)))
-        _, prev_nominal = pipe.replay_nominal(totals)
-        result = pipe.run_tail(pipe.finalize(acc, prev_nominal))
+        result = pipe.finish(acc)
         if pipe.compensated and name not in self._float_gate:
             # Compensated float partials merge in chunk order, which can
             # round differently from the one-pass reference.  Gate on
@@ -990,12 +987,7 @@ class MorselPool:
             # the fallback path forever after.
             reference = execute_functional(query.instantiate(),
                                            self.database)
-            identical = (
-                result.payload.row_tuples()
-                == reference.payload.row_tuples()
-                and result.actual_rows == reference.actual_rows
-                and result.nominal_rows == reference.nominal_rows
-            )
+            identical = morsel.same_result(result, reference)
             self._float_gate[name] = identical
             if not identical:
                 self.counters["float_gate_declines"] += 1

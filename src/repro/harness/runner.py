@@ -133,62 +133,8 @@ def run_workload(
     strategy_obj: PlacementStrategy = get_strategy(strategy)
 
     # -- warm-up: statistics, functional memoisation, cache pre-load ----
-    wall_start = perf_counter()
-    database.statistics.reset()
-    if config.morsels:
-        # Fused morsel-driven functional execution (byte-identical to
-        # the plain path); counter deltas land in the metrics so the
-        # repro report can show fusion coverage next to kernel stats.
-        from repro.engine import morsel
-        from repro.storage import shm as shm_store
-
-        morsel_before = morsel.snapshot_stats()
-        shm_before = dict(shm_store.stats)
-        with morsel.active(config.morsel_rows):
-            for query in queries:
-                execute_functional(query.template_plan(), database)
-        metrics.record_morsel_stats(
-            {key: value - morsel_before[key]
-             for key, value in morsel.snapshot_stats().items()},
-            {key: value - shm_before[key]
-             for key, value in shm_store.stats.items()},
-        )
-    else:
-        for query in queries:
-            execute_functional(query.template_plan(), database)
-    metrics.record_phase("numpy", perf_counter() - wall_start)
-    placement = DataPlacementManager(
-        database,
-        caches=[device.cache for device in hardware.gpus],
-        policy=placement_policy,
-    )
-    if warm_cache:
-        placement.apply_placement()
-        if not strategy_obj.uses_data_placement:
-            # Operator-driven data placement: the warm content is a
-            # starting point, not pinned — operators insert and evict.
-            for device in hardware.gpus:
-                for key in device.cache.keys:
-                    device.cache.unpin(key)
-    elif strategy_obj.uses_data_placement:
-        # Data-driven placement needs the manager even for a cold
-        # start; an empty cache simply keeps every operator on the CPU.
-        placement.apply_placement()
-    if hardware.copy_engine is not None and config.prefetch_depth > 0:
-        # background prefetch rides the engine's idle h2d windows,
-        # driven by the same LFU/LRU ranking the manager uses
-        PlacementPrefetcher(
-            hardware, placement, depth=config.prefetch_depth
-        ).start()
-    if config.split:
-        # Intra-operator co-processing: gate each query template for
-        # chunk-merge byte identity, then hang the split state off the
-        # context — the dispatch hook consults it per operator.
-        from repro.engine.execution.split import SplitState
-
-        split_state = SplitState(config, ctx.cost_model, strategy_obj)
-        split_state.prepare(database, queries, metrics=metrics)
-        ctx.split = split_state
+    warm_up(ctx, queries, strategy_obj, warm_cache, placement_policy,
+            _memoise_templates)
 
     # -- partition the fixed workload over the user sessions -----------
     all_runs: List[WorkloadQuery] = [
@@ -333,6 +279,90 @@ def run_workload(
         fault_classes=dict(injector.injected) if injector else None,
         lifecycle_enabled=lifecycle_config is not None,
     )
+
+
+def _memoise_templates(database: Database, queries: List[WorkloadQuery],
+                       morsel_rows: Optional[int]) -> None:
+    for query in queries:
+        execute_functional(query.template_plan(), database, morsel_rows)
+
+
+def memoise_functional(config: SystemConfig, metrics: MetricsCollector,
+                       database: Database, queries: List[WorkloadQuery],
+                       execute) -> None:
+    """Fill the functional result memos of ``queries`` on ``database``.
+
+    ``execute(database, queries, morsel_rows)`` is the caller's loop
+    over :func:`execute_functional`.  With ``config.morsels`` it runs
+    fused at the config's morsel size and the fused-path and shm
+    counter deltas land in ``metrics``; otherwise it runs
+    operator-at-a-time (``morsel_rows=None``).
+    """
+    if not config.morsels:
+        execute(database, queries, None)
+        return
+    from repro.engine import morsel
+    from repro.storage import shm as shm_store
+
+    morsel_before = morsel.snapshot_stats()
+    shm_before = dict(shm_store.stats)
+    execute(database, queries, morsel.config_rows(config))
+    metrics.record_morsel_stats(
+        {key: value - morsel_before[key]
+         for key, value in morsel.snapshot_stats().items()},
+        {key: value - shm_before[key]
+         for key, value in shm_store.stats.items()},
+    )
+
+
+def warm_up(ctx: ExecutionContext, queries: List[WorkloadQuery],
+            strategy: PlacementStrategy, warm_cache: bool,
+            placement_policy: str, execute) -> None:
+    """Prepare the platform before the first query arrives (batch and
+    service runs alike): reset access statistics, memoise the
+    functional results (see :func:`memoise_functional`), pre-load the
+    device caches, start the prefetcher and gate templates for split
+    execution."""
+    hardware = ctx.hardware
+    config = hardware.config
+    metrics = ctx.metrics
+    database = ctx.database
+    wall_start = perf_counter()
+    database.statistics.reset()
+    memoise_functional(config, metrics, database, queries, execute)
+    metrics.record_phase("numpy", perf_counter() - wall_start)
+    placement = DataPlacementManager(
+        database,
+        caches=[device.cache for device in hardware.gpus],
+        policy=placement_policy,
+    )
+    if warm_cache:
+        placement.apply_placement()
+        if not strategy.uses_data_placement:
+            # Operator-driven data placement: the warm content is a
+            # starting point, not pinned — operators insert and evict.
+            for device in hardware.gpus:
+                for key in device.cache.keys:
+                    device.cache.unpin(key)
+    elif strategy.uses_data_placement:
+        # Data-driven placement needs the manager even for a cold
+        # start; an empty cache simply keeps every operator on the CPU.
+        placement.apply_placement()
+    if hardware.copy_engine is not None and config.prefetch_depth > 0:
+        # background prefetch rides the engine's idle h2d windows,
+        # driven by the same LFU/LRU ranking the manager uses
+        PlacementPrefetcher(
+            hardware, placement, depth=config.prefetch_depth
+        ).start()
+    if config.split:
+        # Intra-operator co-processing: gate each query template for
+        # chunk-merge byte identity, then hang the split state off the
+        # context — the dispatch hook consults it per operator.
+        from repro.engine.execution.split import SplitState
+
+        split_state = SplitState(config, ctx.cost_model, strategy)
+        split_state.prepare(database, queries, metrics=metrics)
+        ctx.split = split_state
 
 
 class ValidationError(AssertionError):

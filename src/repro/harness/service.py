@@ -48,12 +48,7 @@ from time import perf_counter
 from typing import (Callable, Deque, Dict, List, Optional, Sequence,
                     Tuple)
 
-from repro.core import (
-    ChoppingExecutor,
-    DataPlacementManager,
-    PlacementPrefetcher,
-    get_strategy,
-)
+from repro.core import ChoppingExecutor, get_strategy
 from repro.engine.execution import (
     AdmissionController,
     ExecutionContext,
@@ -68,13 +63,21 @@ from repro.harness.runner import (
     ValidationError,
     canonical_row,
     compare_rows,
+    memoise_functional,
     reference_rows,
+    warm_up,
 )
 from repro.hardware import HardwareSystem, SystemConfig
 from repro.metrics import MetricsCollector
 from repro.sim import Environment, Interrupted
 from repro.storage import Database, EpochStore
 from repro.workloads.base import WorkloadQuery
+
+
+def _memoise_templates(database: Database, queries: List[WorkloadQuery],
+                       morsel_rows: Optional[int]) -> None:
+    for query in queries:
+        execute_functional(query.template_plan(), database, morsel_rows)
 
 
 # -- SLO classes -------------------------------------------------------
@@ -545,63 +548,6 @@ class _ServiceRun:
                 lifecycle=lifecycle,
             )
 
-    # -- platform warm-up (mirrors run_workload) ----------------------
-
-    def warm(self, warm_cache: bool, placement_policy: str) -> None:
-        wall = perf_counter()
-        self.store.base.statistics.reset()
-        self._functional_warm(self.store.base, self.queries)
-        self.metrics.record_phase("numpy", perf_counter() - wall)
-        placement = DataPlacementManager(
-            self.store.base,
-            caches=[device.cache for device in self.hardware.gpus],
-            policy=placement_policy,
-        )
-        if warm_cache:
-            placement.apply_placement()
-            if not self.strategy.uses_data_placement:
-                for device in self.hardware.gpus:
-                    for key in device.cache.keys:
-                        device.cache.unpin(key)
-        elif self.strategy.uses_data_placement:
-            placement.apply_placement()
-        if (self.hardware.copy_engine is not None
-                and self.config.prefetch_depth > 0):
-            PlacementPrefetcher(
-                self.hardware, placement, depth=self.config.prefetch_depth
-            ).start()
-        if self.config.split:
-            from repro.engine.execution.split import SplitState
-
-            split_state = SplitState(self.config, self.ctx.cost_model,
-                                     self.strategy)
-            split_state.prepare(self.store.base, self.queries,
-                                metrics=self.metrics)
-            self.ctx.split = split_state
-
-    def _functional_warm(self, database: Database,
-                         queries: List[WorkloadQuery]) -> None:
-        """Memoise the functional results for one snapshot's templates
-        (fused morsel path when the config enables it)."""
-        if self.config.morsels:
-            from repro.engine import morsel
-            from repro.storage import shm as shm_store
-
-            before = morsel.snapshot_stats()
-            shm_before = dict(shm_store.stats)
-            with morsel.active(self.config.morsel_rows):
-                for query in queries:
-                    execute_functional(query.template_plan(), database)
-            self.metrics.record_morsel_stats(
-                {key: value - before[key]
-                 for key, value in morsel.snapshot_stats().items()},
-                {key: value - shm_before[key]
-                 for key, value in shm_store.stats.items()},
-            )
-        else:
-            for query in queries:
-                execute_functional(query.template_plan(), database)
-
     # -- arrivals -----------------------------------------------------
 
     def _arrivals(self):
@@ -774,7 +720,8 @@ class _ServiceRun:
             snapshot = self.store.advance(
                 service.append_fraction, service.append_tables)
             queries = self.workload_factory(snapshot)
-            self._functional_warm(snapshot, queries)
+            memoise_functional(self.config, self.metrics, snapshot, queries,
+                               _memoise_templates)
             if service.pool_chaos:
                 self._pool_sidecar(snapshot, queries)
             self.epoch_queries[self.store.epoch] = queries
@@ -792,6 +739,7 @@ class _ServiceRun:
 
         if not shm.available():
             return
+        from repro.engine import morsel
         from repro.harness.parallel import MorselPool
 
         workload = (self.workload_name
@@ -801,7 +749,8 @@ class _ServiceRun:
             return
         with MorselPool(snapshot, sql_queries or queries,
                         workload=workload, jobs=self.service.pool_jobs,
-                        faults=self.fault_config) as pool:
+                        faults=self.fault_config,
+                        morsel_rows=morsel.config_rows(self.config)) as pool:
             results = pool.run_queries()
             pool.record_metrics(self.metrics)
         for query in (sql_queries or queries):
@@ -918,7 +867,8 @@ def run_service(
         database, workload_factory, workload, strategy, config, service,
         placement_policy, cpu_workers, gpu_workers, scheduling, faults,
     )
-    run.warm(warm_cache, placement_policy)
+    warm_up(run.ctx, run.queries, run.strategy, warm_cache,
+            placement_policy, _memoise_templates)
     return run.run()
 
 

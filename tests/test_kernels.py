@@ -2,9 +2,12 @@
 
 Every kernel (cached join indexes, zone-map pruned scans, lazy
 selection vectors) is a pure acceleration — these tests pin the
-byte-identity against the seed execution paths on the SSB and TPC-H
-grids, and the invalidation contract of the cache registry.
+results against the independent reference evaluator on the SSB and
+TPC-H grids (and against numpy expectations for hand-built plans),
+and the invalidation contract of the cache registry.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -27,35 +30,47 @@ from repro.engine.operators import (
     HashJoin,
     Materialize,
     PhysicalPlan,
-    RefineSelect,
     ScanSelect,
     TidIntersect,
 )
+from repro.harness.runner import canonical_row, compare_rows
 from repro.sql import bind
 from repro.storage import ColumnType, Database, build_zone_map
 from repro.storage.compression import compress_database
 from repro.workloads import micro, ssb, tpch
 
 
-@pytest.fixture(autouse=True)
-def _kernel_state():
-    """Each test starts from enabled kernels, default block size, and
-    empty caches; globals are restored afterwards."""
-    kernels.enable(True)
-    kernels.set_block_rows(None)
-    kernels.invalidate()
-    plan_cache.invalidate()
-    kernels.reset_stats()
-    yield
-    kernels.enable(True)
-    kernels.set_block_rows(None)
-    kernels.invalidate()
-    plan_cache.invalidate()
+@contextmanager
+def zone_blocks(database, block_rows):
+    """Run the block with ``database``'s kernel cache rebuilt at
+    ``block_rows`` per zone-map block, so the tiny test tables prune."""
+    kernels.invalidate(database)
+    kernels.set_block_rows(block_rows)
+    try:
+        yield
+    finally:
+        kernels.set_block_rows(None)
+        kernels.invalidate(database)
+
+
+def stat_deltas(action):
+    """Kernel counter increments while ``action()`` runs."""
+    before = kernels.snapshot_stats()
+    action()
+    return {key: value - before[key]
+            for key, value in kernels.snapshot_stats().items()}
+
+
+def assert_matches_reference(database, sql, rows, name="query"):
+    """``rows`` (in any order) equal the reference evaluator's answer."""
+    want = execute_reference(bind(sql, database, name=name), database)
+    compare_rows(name, sorted(map(canonical_row, rows)),
+                 sorted(map(canonical_row, want)))
 
 
 def run_query(database, sql, name):
     """Fresh plan + functional execution (no cross-plan memoisation)."""
-    plan_cache.invalidate()
+    plan_cache.invalidate(database)
     spec = bind(sql, database, name=name)
     plan = Planner(database).plan(spec)
     return execute_functional(plan, database).payload.row_tuples()
@@ -155,8 +170,7 @@ class TestZoneMaps:
         table.add_string_column(
             "name", ["s{:04d}".format(i % 300) for i in range(10_000)]
         )
-        kernels.set_block_rows(128)
-        cache = kernels.cache_for(db)
+        cache = kernels.KernelCache(block_rows=128)
         expected = np.asarray(predicate.evaluate(Frame(db)), dtype=bool)
         mask = kernels.scan_mask(db, "t", predicate, cache)
         if mask is not None:
@@ -166,14 +180,16 @@ class TestZoneMaps:
         db = Database("zones")
         table = db.create_table("t", nominal_rows=10_000)
         table.add_column("sorted", ColumnType.INT32, np.arange(10_000))
-        kernels.set_block_rows(128)
-        cache = kernels.cache_for(db)
+        cache = kernels.KernelCache(block_rows=128)
         predicate = Comparison("<", ColumnRef("t", "sorted"), Literal(1000))
-        mask = kernels.scan_mask(db, "t", predicate, cache)
-        assert mask is not None
-        assert kernels.stats["scans_pruned"] == 1
-        assert kernels.stats["blocks_skipped"] > 0
-        assert kernels.stats["blocks_short_circuited"] > 0
+        masks = []
+        deltas = stat_deltas(
+            lambda: masks.append(kernels.scan_mask(db, "t", predicate,
+                                                   cache)))
+        assert masks[0] is not None
+        assert deltas["scans_pruned"] == 1
+        assert deltas["blocks_skipped"] > 0
+        assert deltas["blocks_short_circuited"] > 0
 
     def test_unclustered_predicate_declines(self):
         db = Database("zones")
@@ -181,8 +197,7 @@ class TestZoneMaps:
         rng = np.random.default_rng(3)
         table.add_column("random", ColumnType.INT32,
                          rng.integers(0, 100, 10_000))
-        kernels.set_block_rows(128)
-        cache = kernels.cache_for(db)
+        cache = kernels.KernelCache(block_rows=128)
         predicate = Comparison("<", ColumnRef("t", "random"), Literal(50))
         # Every block straddles the bound: pruning must decline rather
         # than pay per-block evaluation.
@@ -208,28 +223,29 @@ def _join_plan(database):
     return PhysicalPlan(root, name="join")
 
 
+JOIN_SQL = ("select sales.amount, store.size, store.region from sales, "
+            "store where sales.skey = store.id and store.size < 120")
+
+
 class TestCachedJoinIndexes:
     def _rows(self, database):
-        plan_cache.invalidate()
+        plan_cache.invalidate(database)
         return execute_functional(_join_plan(database),
                                   database).payload.row_tuples()
 
     def test_filtered_dense_build_matches_seed(self, toy_db):
-        kernels.enable(False)
-        expected = self._rows(toy_db)
-        kernels.enable(True)
-        got = self._rows(toy_db)
-        assert got == expected
+        rows = []
+        deltas = stat_deltas(lambda: rows.extend(self._rows(toy_db)))
+        assert_matches_reference(toy_db, JOIN_SQL, rows)
         # store.id is a dense ascending key: the join must have taken
         # the positional path.
-        assert kernels.stats["dense_joins"] >= 1
+        assert deltas["dense_joins"] >= 1
 
     def test_repeated_join_hits_cache(self, toy_db):
         self._rows(toy_db)
-        builds = kernels.stats["join_index_builds"]
-        self._rows(toy_db)
-        assert kernels.stats["join_index_builds"] == builds
-        assert kernels.stats["join_index_hits"] >= 1
+        deltas = stat_deltas(lambda: self._rows(toy_db))
+        assert deltas["join_index_builds"] == 0
+        assert deltas["join_index_hits"] >= 1
 
     def test_non_dense_build_matches_seed(self):
         db = Database("nd")
@@ -244,7 +260,7 @@ class TestCachedJoinIndexes:
         dim.add_column("w", ColumnType.INT32, rng.integers(0, 5, 200))
 
         def rows():
-            plan_cache.invalidate()
+            plan_cache.invalidate(db)
             scan = ScanSelect("f")
             build = ScanSelect(
                 "d", Comparison("<", ColumnRef("d", "w"), Literal(3))
@@ -258,35 +274,37 @@ class TestCachedJoinIndexes:
             result = execute_functional(PhysicalPlan(root, name="nd"), db)
             return result.payload.row_tuples()
 
-        kernels.enable(False)
-        expected = rows()
-        kernels.enable(True)
-        assert rows() == expected
-        assert kernels.stats["dense_joins"] == 0
-        assert kernels.stats["join_index_builds"] >= 1
+        got = []
+        deltas = stat_deltas(lambda: got.extend(rows()))
+        assert_matches_reference(
+            db, "select f.v, d.w from f, d where f.k = d.k and d.w < 3",
+            got)
+        assert deltas["dense_joins"] == 0
+        assert deltas["join_index_builds"] >= 1
 
     def test_ssb_queries_identical_with_and_without_kernels(self, ssb_db):
-        for name, sql in ssb.QUERIES.items():
-            kernels.enable(False)
-            expected = run_query(ssb_db, sql, name)
-            kernels.enable(True)
-            kernels.set_block_rows(96)
-            assert run_query(ssb_db, sql, name) == expected, name
+        """Every SSB query under small zone-map blocks (so pruning
+        runs) against the reference evaluator."""
+        with zone_blocks(ssb_db, 96):
+            for name, sql in ssb.QUERIES.items():
+                assert_matches_reference(
+                    ssb_db, sql, run_query(ssb_db, sql, name), name)
 
     def test_tpch_queries_identical_with_and_without_kernels(self, tpch_db):
-        for name, sql in tpch.QUERIES.items():
-            kernels.enable(False)
-            expected = run_query(tpch_db, sql, name)
-            kernels.enable(True)
-            kernels.set_block_rows(96)
-            assert run_query(tpch_db, sql, name) == expected, name
+        """Every TPC-H query under small zone-map blocks against the
+        reference evaluator."""
+        with zone_blocks(tpch_db, 96):
+            for name, sql in tpch.QUERIES.items():
+                assert_matches_reference(
+                    tpch_db, sql, run_query(tpch_db, sql, name), name)
 
     def test_ssb_agrees_with_reference_under_kernels(self, ssb_db):
-        kernels.set_block_rows(96)
         name = "Q2.1"
         spec = bind(ssb.QUERIES[name], ssb_db, name=name)
-        plan = Planner(ssb_db).plan(spec)
-        engine_rows = execute_functional(plan, ssb_db).payload.row_tuples()
+        with zone_blocks(ssb_db, 96):
+            plan = Planner(ssb_db).plan(spec)
+            engine_rows = execute_functional(plan,
+                                             ssb_db).payload.row_tuples()
         reference_rows = execute_reference(spec, ssb_db)
         assert sorted(engine_rows) == sorted(reference_rows)
 
@@ -297,40 +315,38 @@ class TestCachedJoinIndexes:
 
 class TestLazySelectionChains:
     def test_refine_chain_matches_seed(self, ssb_db):
-        def rows():
-            plan_cache.invalidate()
+        def run():
+            plan_cache.invalidate(ssb_db)
             plan = micro.build_parallel_selection_plan(ssb_db)
-            return execute_functional(plan, ssb_db).payload.row_tuples()
+            got.extend(execute_functional(plan, ssb_db).payload.row_tuples())
 
-        kernels.enable(False)
-        expected = rows()
-        kernels.enable(True)
-        got = rows()
-        assert got == expected
-        assert kernels.stats["masked_refines"] >= 3
+        got = []
+        deltas = stat_deltas(run)
+        assert_matches_reference(
+            ssb_db, "select * from lineorder where lo_discount between 4 "
+            "and 6 and lo_quantity between 26 and 35", got)
+        assert deltas["masked_refines"] >= 3
 
     def test_tid_intersect_combines_masks(self, toy_db):
         amount = ColumnRef("sales", "amount")
         price = ColumnRef("sales", "price")
 
-        def rows():
-            # Fresh plan per run: per-template memos must not leak the
-            # other mode's payload into the comparison.
-            plan_cache.invalidate()
+        def run():
             left = ScanSelect("sales", Comparison(">", amount, Literal(30)))
             right = ScanSelect("sales", Comparison("<", price, Literal(25)))
             intersect = TidIntersect(left, right, "sales")
             root = Materialize(intersect,
                                [("amount", amount), ("price", price)])
             plan = PhysicalPlan(root, name="and")
-            return execute_functional(plan, toy_db).payload.row_tuples()
+            got.extend(execute_functional(plan, toy_db).payload.row_tuples())
 
-        kernels.enable(False)
-        expected = rows()
-        kernels.enable(True)
-        got = rows()
-        assert got == expected
-        assert kernels.stats["masked_intersects"] >= 1
+        got = []
+        deltas = stat_deltas(run)
+        amounts = toy_db.column("sales.amount").values
+        prices = toy_db.column("sales.price").values
+        keep = (amounts > 30) & (prices < 25)
+        assert got == list(zip(amounts[keep].tolist(), prices[keep].tolist()))
+        assert deltas["masked_intersects"] >= 1
 
     def test_scan_without_predicate_is_lazy(self, toy_db):
         result = ScanSelect("sales").run(toy_db, [])
@@ -370,16 +386,10 @@ class TestInvalidation:
         before = execute_functional(_join_plan(toy_db),
                                     toy_db).payload.row_tuples()
         compress_database(toy_db)
-        plan_cache.invalidate()
+        plan_cache.invalidate(toy_db)
         after = execute_functional(_join_plan(toy_db),
                                    toy_db).payload.row_tuples()
         assert before == after
-
-    def test_disable_restores_seed_payloads(self, toy_db):
-        kernels.enable(False)
-        result = ScanSelect("sales").run(toy_db, [])
-        assert isinstance(result.payload.positions("sales"), np.ndarray)
-        assert result.payload.selection("sales") is None
 
 
 # ---------------------------------------------------------------------------

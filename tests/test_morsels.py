@@ -38,27 +38,23 @@ from repro.workloads import ssb, tpch
 FORK_OK = "fork" in multiprocessing.get_all_start_methods()
 
 
-@pytest.fixture(autouse=True)
-def _fresh_engine_state():
-    """Kernels on, plan cache off (every execution must re-run), fused
-    path off unless a test turns it on."""
-    plan_cache.enable(False)
-    kernels.enable(True)
-    morsel.enable(False)
-    morsel.reset_stats()
-    yield
-    plan_cache.enable(True)
-    kernels.enable(True)
-    morsel.enable(False)
-    morsel.set_morsel_rows(None)
-
-
-def _batch(database, queries):
+def _batch(database, queries, morsel_rows=None):
+    """Every query's rows from a fresh execution (plan cache dropped
+    first), fused at ``morsel_rows`` or operator-at-a-time."""
+    plan_cache.invalidate(database)
     return {
         query.name: execute_functional(
-            query.instantiate(), database).payload.row_tuples()
+            query.instantiate(), database, morsel_rows).payload.row_tuples()
         for query in queries
     }
+
+
+def _stat_deltas(action):
+    """Fused-path counter increments while ``action()`` runs."""
+    before = morsel.snapshot_stats()
+    action()
+    return {key: value - before[key]
+            for key, value in morsel.snapshot_stats().items()}
 
 
 # ---------------------------------------------------------------------------
@@ -72,17 +68,17 @@ def test_fused_workload_identity(module, fixture, rows_per_morsel, request):
     db = request.getfixturevalue(fixture)
     queries = module.workload(db)
     reference = _batch(db, queries)
-    with morsel.active(rows_per_morsel):
-        fused = _batch(db, queries)
+    fused = {}
+    stats = _stat_deltas(
+        lambda: fused.update(_batch(db, queries, rows_per_morsel)))
     assert fused == reference
-    assert morsel.snapshot_stats()["fused_queries"] > 0
+    assert stats["fused_queries"] > 0
 
 
 def test_fused_ssb_zero_declines(ssb_db):
     """Every SSB query fuses — the benchmark's speedup covers them all."""
-    with morsel.active():
-        _batch(ssb_db, ssb.workload(ssb_db))
-    stats = morsel.snapshot_stats()
+    stats = _stat_deltas(lambda: _batch(ssb_db, ssb.workload(ssb_db),
+                                        morsel.DEFAULT_MORSEL_ROWS))
     assert stats["declined_queries"] == 0
     assert stats["fused_queries"] == len(ssb.QUERIES)
     assert stats["fused_operators"] > stats["fused_queries"]
@@ -94,10 +90,9 @@ def test_unfusable_plan_declines_cleanly(ssb_db):
     with pytest.raises(morsel.Decline):
         morsel.build(plan, ssb_db)
     # ... and the execution path silently falls back:
-    with morsel.active():
-        result = execute_functional(
-            PhysicalPlan(ScanSelect("lineorder"), name="bare_scan2"),
-            ssb_db)
+    result = execute_functional(
+        PhysicalPlan(ScanSelect("lineorder"), name="bare_scan2"),
+        ssb_db, morsel.DEFAULT_MORSEL_ROWS)
     assert result.actual_rows == ssb_db.table("lineorder").actual_rows
 
 
@@ -139,20 +134,15 @@ def test_random_queries_identical_across_morsel_sizes(
         seed, template, op, literal, rows_per_morsel):
     db = RAND_DBS[seed]
     sql = template.format("y {} {}".format(op, literal))
-    plan_cache.enable(False)
-    kernels.enable(True)
 
-    def run():
+    def run(morsel_rows):
+        plan_cache.invalidate(db)
         plan = Planner(db).plan(bind(sql, db, name="rand"))
-        result = execute_functional(plan, db)
+        result = execute_functional(plan, db, morsel_rows)
         return (result.payload.row_tuples(), result.actual_rows,
                 result.nominal_rows, result.row_width_bytes)
 
-    morsel.enable(False)
-    reference = run()
-    with morsel.active(rows_per_morsel):
-        fused = run()
-    assert fused == reference, sql
+    assert run(rows_per_morsel) == run(None), sql
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +188,7 @@ def test_shm_attached_database_answers_queries():
     attached = shm.attach_database(shm.export_database(db))
     try:
         assert _batch(attached, ssb.workload(attached)) == reference
-        with morsel.active(1000):
-            assert _batch(attached, ssb.workload(attached)) == reference
+        assert _batch(attached, ssb.workload(attached), 1000) == reference
     finally:
         kernels.invalidate(attached)
         shm.invalidate(db)
@@ -370,10 +359,39 @@ def test_system_config_morsel_knobs():
         SystemConfig(morsel_rows=0)
 
 
-def test_morsel_rows_override():
-    assert morsel.morsel_rows() == morsel.DEFAULT_MORSEL_ROWS
-    with morsel.active(512):
-        assert morsel.morsel_rows() == 512
-        assert morsel.enabled()
-    assert morsel.morsel_rows() == morsel.DEFAULT_MORSEL_ROWS
-    assert not morsel.enabled()
+def test_same_result_checks_every_field():
+    from repro.engine.intermediates import OperatorResult, ResultFrame
+
+    frame = ResultFrame({"a": np.arange(3, dtype=np.int64)})
+    base = OperatorResult(frame, actual_rows=3, nominal_rows=30,
+                          row_width_bytes=8)
+    assert morsel.same_result(base, OperatorResult(frame, 3, 30, 8))
+    assert not morsel.same_result(base, OperatorResult(frame, 3, 30, 16))
+    assert not morsel.same_result(base, OperatorResult(frame, 3, 31, 8))
+    other = ResultFrame({"a": np.arange(1, 4, dtype=np.int64)})
+    assert not morsel.same_result(base, OperatorResult(other, 3, 30, 8))
+
+
+def test_morsel_rows_override(ssb_db):
+    """The morsel size is an argument: the config's value or the 64K
+    default, never a process-wide setting."""
+    assert morsel.config_rows(SystemConfig()) == morsel.DEFAULT_MORSEL_ROWS
+    assert morsel.config_rows(SystemConfig(morsel_rows=512)) == 512
+    (query,) = [q for q in ssb.workload(ssb_db) if q.name == "Q1.1"]
+    pipe = morsel.build(query.instantiate(), ssb_db, 512)
+    assert all(stop - start <= 512 for start, stop in pipe.ranges())
+    assert len(pipe.ranges()) == -(-pipe.fact_rows // 512)
+    assert len(morsel.build(query.instantiate(), ssb_db).ranges()) == 1
+
+
+def test_morsel_config_does_not_leak_into_later_runs():
+    """A fused run leaves no process state behind: a default run after
+    it in the same process executes operator-at-a-time."""
+    db = E.ssb_database(1)
+    plan_cache.invalidate(db)
+    run_workload(db, ssb.workload(db), "runtime",
+                 config=SystemConfig(morsels=True, morsel_rows=512))
+    plan_cache.invalidate(db)
+    stats = _stat_deltas(
+        lambda: run_workload(db, ssb.workload(db), "runtime"))
+    assert stats["fused_queries"] == 0

@@ -26,7 +26,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.engine import kernels, morsel, plan_cache
+from repro.engine import morsel, plan_cache
 from repro.engine.execution import LifecycleConfig, execute_functional
 from repro.faults import (
     PROCESS_FAULT_CLASSES,
@@ -50,23 +50,13 @@ pool_ready = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(autouse=True)
-def _fresh_engine_state():
-    plan_cache.enable(False)
-    kernels.enable(True)
-    morsel.enable(False)
-    morsel.reset_stats()
-    yield
-    plan_cache.enable(True)
-    kernels.enable(True)
-    morsel.enable(False)
-    morsel.set_morsel_rows(None)
-
-
-def _reference(database, queries):
+def _reference(database, queries, morsel_rows=None):
+    """Every query's rows from a fresh execution (plan cache dropped
+    first), fused at ``morsel_rows`` or operator-at-a-time."""
+    plan_cache.invalidate(database)
     return {
         query.name: execute_functional(
-            query.instantiate(), database).payload.row_tuples()
+            query.instantiate(), database, morsel_rows).payload.row_tuples()
         for query in queries
     }
 
@@ -390,11 +380,12 @@ class TestCompensatedFloats:
         db = _float_db(rng.normal(size=4096) * 1e6)
         queries = sql_workload(db, [("f1", FLOAT_SQL)])
         reference = _reference(db, queries)
-        with morsel.active(512):
-            fused = _reference(db, queries)
-        assert fused == reference
-        assert morsel.snapshot_stats()["fused_queries"] == 1
-        assert morsel.decline_reasons.get("float_partial_divergence", 0) == 0
+        fused_before = morsel.stats["fused_queries"]
+        diverged_before = morsel.decline_reasons["float_partial_divergence"]
+        assert _reference(db, queries, 512) == reference
+        assert morsel.stats["fused_queries"] == fused_before + 1
+        assert (morsel.decline_reasons["float_partial_divergence"]
+                == diverged_before)
 
     @pool_ready
     def test_pool_float_merge_passes_gate_on_exact_values(self):
@@ -402,8 +393,8 @@ class TestCompensatedFloats:
         db = _float_db(np.arange(1, 2049, dtype=np.float64))
         queries = sql_workload(db, [("f1", FLOAT_SQL)])
         reference = _reference(db, queries)
-        morsel.set_morsel_rows(256)
-        with MorselPool(db, queries, workload="sql", jobs=2) as pool:
+        with MorselPool(db, queries, workload="sql", jobs=2,
+                        morsel_rows=256) as pool:
             rows = _pool_rows(pool.run_queries())
             assert rows == reference
             assert pool.counters["float_gate_declines"] == 0
@@ -416,8 +407,8 @@ class TestCompensatedFloats:
         db = _float_db([1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1e16])
         queries = sql_workload(db, [("f1", FLOAT_SQL)])
         reference = _reference(db, queries)
-        morsel.set_morsel_rows(4)
-        with MorselPool(db, queries, workload="sql", jobs=2) as pool:
+        with MorselPool(db, queries, workload="sql", jobs=2,
+                        morsel_rows=4) as pool:
             first = pool.run_query("f1").payload.row_tuples()
             assert first == reference["f1"]
             if pool.counters["float_gate_declines"]:

@@ -40,19 +40,6 @@ from repro.workloads import ssb, sql_workload
 from tests.conftest import make_context
 
 
-@pytest.fixture(autouse=True)
-def _fresh_engine_state():
-    """Plan cache off (every execution must re-run), fused path off
-    unless a test turns it on — same discipline as the morsel tests."""
-    plan_cache.enable(False)
-    morsel.enable(False)
-    morsel.reset_stats()
-    yield
-    plan_cache.enable(True)
-    morsel.enable(False)
-    morsel.set_morsel_rows(None)
-
-
 def _signature(result):
     return (result.payload.row_tuples(), result.actual_rows,
             result.nominal_rows, result.row_width_bytes)
@@ -85,6 +72,20 @@ def test_merged_split_identity_every_ratio(ssb_db):
         for ratio in (0.0, 0.25, 0.5, 0.75, 1.0):
             merged = merged_split_result(pipe, [int(rows * ratio)])
             assert _signature(merged) == _signature(reference)
+
+
+def test_merged_split_identity_materialising_plan(ssb_db):
+    """A frame breaker takes its nominal rows from the chain counts
+    summed over every chunk, so a multi-chunk merge must match too."""
+    sql = ("select lo_orderkey, lo_quantity from lineorder "
+           "where lo_discount >= 5")
+    (query,) = sql_workload(ssb_db, {"q": sql})
+    reference = execute_functional(query.instantiate(), ssb_db)
+    pipe = morsel.build(query.instantiate(), ssb_db, 100)
+    assert pipe.breaker_kind == "frame"
+    rows = pipe.fact_rows
+    merged = merged_split_result(pipe, [rows // 3, (2 * rows) // 3])
+    assert _signature(merged) == _signature(reference)
 
 
 @settings(max_examples=20, deadline=None)
@@ -410,33 +411,39 @@ LIMIT_SQL = ("select lo_orderkey, lo_quantity from lineorder "
              "where lo_discount >= 5 limit 50")
 
 
-def _run_sql(db, sql):
+def _run_sql(db, sql, morsel_rows=None):
     (query,) = sql_workload(db, {"q": sql})
-    return execute_functional(query.instantiate(), db)
+    return execute_functional(query.instantiate(), db, morsel_rows)
+
+
+def _fresh_sql(db, sql, morsel_rows=None):
+    """:func:`_run_sql` after dropping the plan cache, with the fused
+    path's counter and decline-reason increments."""
+    plan_cache.invalidate(db)
+    stats = morsel.snapshot_stats()
+    reasons = morsel.decline_reasons.copy()
+    result = _run_sql(db, sql, morsel_rows)
+    deltas = {key: value - stats[key]
+              for key, value in morsel.snapshot_stats().items()}
+    return result, deltas, morsel.decline_reasons - reasons
 
 
 @pytest.mark.parametrize("rows_per_morsel", [100, 1000, 1_000_000_000])
 def test_limit_fused_identity(ssb_db, rows_per_morsel):
-    reference = _run_sql(ssb_db, LIMIT_SQL)
-    with morsel.active(rows_per_morsel):
-        fused = _run_sql(ssb_db, LIMIT_SQL)
+    reference, _, _ = _fresh_sql(ssb_db, LIMIT_SQL)
+    fused, stats, _ = _fresh_sql(ssb_db, LIMIT_SQL, rows_per_morsel)
     assert _signature(fused) == _signature(reference)
-    stats = morsel.snapshot_stats()
     assert stats["limit_fused_queries"] == 1
 
 
 def test_limit_early_stop_skips_morsels(ssb_db):
-    with morsel.active(100):
-        _run_sql(ssb_db, LIMIT_SQL)
-    stats = morsel.snapshot_stats()
+    _, stats, _ = _fresh_sql(ssb_db, LIMIT_SQL, 100)
     assert stats["limit_early_stops"] == 1
     assert stats["limit_rows_skipped"] > 0
 
 
 def test_limit_no_early_stop_with_one_chunk(ssb_db):
-    with morsel.active(1_000_000_000):
-        _run_sql(ssb_db, LIMIT_SQL)
-    stats = morsel.snapshot_stats()
+    _, stats, _ = _fresh_sql(ssb_db, LIMIT_SQL, 1_000_000_000)
     assert stats["limit_fused_queries"] == 1
     assert stats["limit_early_stops"] == 0
     assert stats["limit_rows_skipped"] == 0
@@ -445,30 +452,22 @@ def test_limit_no_early_stop_with_one_chunk(ssb_db):
 def test_limit_over_sort_declines_but_matches(ssb_db):
     sql = ("select lo_orderkey from lineorder where lo_discount >= 5 "
            "order by lo_orderkey limit 10")
-    reference = _run_sql(ssb_db, sql)
-    with morsel.active(100):
-        fused = _run_sql(ssb_db, sql)
+    reference, _, _ = _fresh_sql(ssb_db, sql)
+    fused, stats, reasons = _fresh_sql(ssb_db, sql, 100)
     assert _signature(fused) == _signature(reference)
-    stats = morsel.snapshot_stats()
     assert stats["limit_fused_queries"] == 0
-    assert morsel.decline_reasons.get("limit_tail", 0) >= 1
+    assert reasons["limit_tail"] >= 1
 
 
 def test_limit_never_memoises_prefix(ssb_db):
     """An early-stopped run must not poison shared-chain memos: the
     same scan re-run without the limit yields the full result."""
     no_limit = LIMIT_SQL.rsplit(" limit", 1)[0]
-    full_reference = _run_sql(ssb_db, no_limit)
-    plan_cache.enable(True)
-    try:
-        with morsel.active(100):
-            limited = _run_sql(ssb_db, LIMIT_SQL)
-            full = _run_sql(ssb_db, no_limit)
-        assert limited.actual_rows == 50
-        assert _signature(full) == _signature(full_reference)
-    finally:
-        plan_cache.invalidate(ssb_db)
-        plan_cache.enable(False)
+    full_reference, _, _ = _fresh_sql(ssb_db, no_limit)
+    limited, _, _ = _fresh_sql(ssb_db, LIMIT_SQL, 100)
+    full = _run_sql(ssb_db, no_limit, 100)
+    assert limited.actual_rows == 50
+    assert _signature(full) == _signature(full_reference)
 
 
 # ---------------------------------------------------------------------------
