@@ -220,12 +220,8 @@ def bench_zone_map_scan():
 
     # One block spanning the table: pruning declines, the predicate is
     # evaluated over every row.
-    kernels.set_block_rows(SIZES["zone_rows"])
-    try:
-        kernels.invalidate(db)
-        full_seconds, full_rows = _best(run, SIZES["reps"])
-    finally:
-        kernels.set_block_rows(None)
+    kernels.cache_for(db).block_rows = SIZES["zone_rows"]
+    full_seconds, full_rows = _best(run, SIZES["reps"])
     kernels.invalidate(db)
     kernels.reset_stats()
     run()  # prime the zone map
@@ -318,25 +314,20 @@ def bench_parallel(db: Database, jobs: int):
 def check_reference() -> dict:
     """Every SSB/TPC-H query on a small database, with small zone-map
     blocks, against the row-at-a-time reference."""
-    kernels.set_block_rows(96)
-    try:
-        checked = 0
-        diverged = []
-        for module, seed in ((ssb, 123), (tpch, 321)):
-            db = module.generate(scale_factor=0.01, data_scale=0.01,
-                                 seed=seed)
-            for name, sql in module.QUERIES.items():
-                spec = bind(sql, db, name=name)
-                plan = Planner(db).plan(spec)
-                engine_rows = execute_functional(
-                    plan, db).payload.row_tuples()
-                if sorted(engine_rows) != sorted(execute_reference(spec, db)):
-                    diverged.append("{}:{}".format(module.__name__, name))
-                checked += 1
-        return {"queries": checked, "diverged": diverged,
-                "identical": not diverged}
-    finally:
-        kernels.set_block_rows(None)
+    checked = 0
+    diverged = []
+    for module, seed in ((ssb, 123), (tpch, 321)):
+        db = module.generate(scale_factor=0.01, data_scale=0.01, seed=seed)
+        kernels.cache_for(db).block_rows = 96
+        for name, sql in module.QUERIES.items():
+            spec = bind(sql, db, name=name)
+            plan = Planner(db).plan(spec)
+            engine_rows = execute_functional(plan, db).payload.row_tuples()
+            if sorted(engine_rows) != sorted(execute_reference(spec, db)):
+                diverged.append("{}:{}".format(module.__name__, name))
+            checked += 1
+    return {"queries": checked, "diverged": diverged,
+            "identical": not diverged}
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Dict, Generator, List, Optional
 from repro.core.placement.base import estimate_runtime
 from repro.engine.execution.context import ExecutionContext
 from repro.engine.execution.lifecycle import QueryCancelled, QueryContext
-from repro.engine.execution.operator_task import execute_operator
+from repro.engine.execution.operator_task import execute_operator, to_host
 from repro.engine.operators import PhysicalOperator, PhysicalPlan
 from repro.sim import Event, Interrupted, PriorityStore, Store
 
@@ -323,14 +323,9 @@ class ChoppingExecutor:
                 # cancelled while the final operator was finishing
                 result.release_device_memory()
                 return
-            if result.location != "cpu":
-                yield from ctx.hardware.host_transfer(
-                    result.nominal_bytes, "d2h", device=result.location
-                )
-                result.release_device_memory()
-                result.location = "cpu"
-                if root_event.triggered:  # cancelled during the d2h
-                    return
+            yield from to_host(ctx.hardware, [result], release=True)
+            if root_event.triggered:  # cancelled during the d2h
+                return
             root_event.succeed(result)
             return
         parent.child_results[task.child_index] = result

@@ -15,7 +15,7 @@ registered ones can never miss a populated cache.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 #: name -> (invalidate(database=None), cache_size(database=None))
 _registry: "Dict[str, Tuple[Callable, Callable]]" = {}

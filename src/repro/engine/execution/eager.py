@@ -17,8 +17,7 @@ from __future__ import annotations
 from typing import Dict, Generator
 
 from repro.engine.execution.context import ExecutionContext
-from repro.engine.execution.operator_task import execute_operator
-from repro.engine.intermediates import OperatorResult
+from repro.engine.execution.operator_task import execute_operator, to_host
 from repro.engine.operators import PhysicalPlan
 from repro.hardware.processor import ProcessorKind
 from repro.sim import Process
@@ -79,12 +78,7 @@ def run_plan_eager(ctx: ExecutionContext, plan: PhysicalPlan,
 
     def root_process() -> Generator:
         result = yield processes[plan.root.op_id]
-        if result.location != "cpu":
-            yield from ctx.hardware.host_transfer(
-                result.nominal_bytes, "d2h", device=result.location
-            )
-            result.release_device_memory()
-            result.location = "cpu"
+        yield from to_host(ctx.hardware, [result], release=True)
         return result
 
     root = env.process(root_process())

@@ -23,7 +23,7 @@ from typing import Dict, Optional
 
 from repro.engine import morsel
 from repro.engine.intermediates import OperatorResult
-from repro.engine.operators import PhysicalOperator, PhysicalPlan
+from repro.engine.operators import PhysicalPlan
 from repro.storage import Database
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Deque, Generator, List, Optional, Union
+from typing import Callable, Deque, Generator, List, Optional, Union
 
 from repro.sim import Event, Interrupted
 

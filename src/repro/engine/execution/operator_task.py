@@ -35,6 +35,10 @@ from __future__ import annotations
 from typing import Generator, List, Optional
 
 from repro.engine.execution.context import ExecutionContext
+from repro.engine.execution.resilience import (
+    attempt_with_recovery,
+    record_abort,
+)
 from repro.engine.intermediates import OperatorResult
 from repro.engine.operators import PhysicalOperator
 from repro.hardware import DeviceFault
@@ -79,9 +83,11 @@ def execute_operator(
                 ctx, device, op, child_results, input_bytes, qctx,
             )
         if result is None:
-            result = yield from _try_gpu_with_recovery(
-                ctx, device, op, child_results, input_bytes,
-                admit_to_cache, qctx,
+            result = yield from attempt_with_recovery(
+                ctx, device.name,
+                lambda: _try_gpu(ctx, device, op, child_results,
+                                 input_bytes, admit_to_cache, qctx),
+                op.plan_name, qctx,
             )
     if result is None:
         if qctx is not None:
@@ -92,46 +98,6 @@ def execute_operator(
     if qctx is not None:
         qctx.track(result)
     return result
-
-
-def _try_gpu_with_recovery(ctx, device, op, child_results, input_bytes,
-                           admit_to_cache, qctx=None):
-    """Device attempts under the retry policy and circuit breaker.
-
-    Returns the :class:`OperatorResult` on success, or None once the
-    operator must restart on the CPU — after a genuine out-of-memory
-    abort, after exhausting the transient-fault retry budget, or when
-    the device's breaker denies the attempt outright.
-    """
-    resilience = ctx.resilience
-    env = ctx.env
-    attempt = 0
-    while True:
-        if not resilience.admit(device.name, env.now):
-            ctx.metrics.record_breaker_skip(device.name)
-            return None
-        outcome = yield from _try_gpu(ctx, device, op, child_results,
-                                      input_bytes, admit_to_cache, qctx)
-        if not isinstance(outcome, DeviceFault):
-            # success, or a non-fault abort — either way the device
-            # itself behaved, so the breaker sees a success
-            resilience.record_success(device.name, env.now)
-            return outcome
-        if not outcome.transient:
-            # out of memory: the allocator answered as specified under
-            # contention — fall back immediately, breaker unaffected
-            resilience.record_success(device.name, env.now)
-            return None
-        resilience.record_failure(device.name, env.now)
-        if attempt >= resilience.policy.max_retries:
-            return None
-        ctx.metrics.record_retry(device=device.name,
-                                 fault=outcome.fault_class,
-                                 query=op.plan_name,
-                                 tenant=qctx.tenant if qctx else None)
-        # a cancelled query's backoff aborts early instead of retrying
-        yield from resilience.backoff(env, attempt, qctx)
-        attempt += 1
 
 
 def _try_gpu(ctx, device, op, child_results, input_bytes, admit_to_cache,
@@ -148,42 +114,47 @@ def _try_gpu(ctx, device, op, child_results, input_bytes, admit_to_cache,
     caller decides between a retry and the CPU fallback.
     """
     env = ctx.env
+    hardware = ctx.hardware
     cache = device.cache
     heap = device.heap
     gpu = device.processor
-    engine = ctx.hardware.copy_engine
+    engine = hardware.copy_engine
     #: the copy engine always overlaps staging copies with the kernel
     #: (that is what its channels are for); without it, the
     #: streaming_transfers flag opts into the same shape on the
     #: serialized bus (Sec. 5.5)
-    streaming = ctx.hardware.config.streaming_transfers or engine is not None
+    background = hardware.config.streaming_transfers or engine is not None
     start = env.now
     staged = []
     acquired = []
     working = []
-    #: with streaming transfers copies run as background processes
-    #: overlapping the kernel; the operator completes once both its
-    #: compute and its transfers have finished
+    #: background copies overlap the kernel; the operator completes
+    #: once both its compute and its transfers have finished
     inflight = []
 
-    def spawn(generator):
+    def copy(transfer):
+        """Run one copy in the foreground, or start it in the
+        background to be joined after the kernel."""
+        if not background:
+            yield from transfer
+            return
         # A background copy can fail via fault injection; the
         # operator observes that when it joins the transfer tail.
         # Pre-defuse so an abort on another path cannot leave an
         # unwaited failure to crash the event loop.
-        transfer = env.process(generator)
-        transfer.defused = True
-        inflight.append(transfer)
+        process = env.process(transfer)
+        process.defused = True
+        inflight.append(process)
 
-    def move(nbytes, direction, key=None):
-        if engine is not None:
-            spawn(engine.transfer(nbytes, direction, device=device.name,
-                                  key=key))
-        elif streaming:
-            spawn(ctx.bus.transfer(nbytes, direction, device=device.name))
-        else:
-            yield from ctx.bus.transfer(nbytes, direction,
-                                        device=device.name)
+    def relay(child):
+        """A child result crossing to this device: a result on another
+        co-processor first hops device to host, attributed to its own
+        device, and the host-to-device hop follows it."""
+        if child.location != "cpu":
+            yield from hardware.device_transfer(child.nominal_bytes, "d2h",
+                                                child.location)
+        yield from hardware.device_transfer(child.nominal_bytes, "h2d",
+                                            device.name)
 
     try:
         # 1. Stage base columns.
@@ -204,7 +175,8 @@ def _try_gpu(ctx, device, op, child_results, input_bytes, admit_to_cache,
                         inflight.append(pending)
                 continue
             cache.record_miss()
-            yield from move(column.nominal_bytes, "h2d", key=key)
+            yield from copy(hardware.device_transfer(
+                column.nominal_bytes, "h2d", device.name, key=key))
             if admit_to_cache and cache.admit(key, column.nominal_bytes):
                 cache.acquire(key)
                 acquired.append(key)
@@ -213,21 +185,12 @@ def _try_gpu(ctx, device, op, child_results, input_bytes, admit_to_cache,
                 # heap staging area for the duration of the operator.
                 staged.append(heap.allocate(column.nominal_bytes, owner=op.label))
         # 2. Stage child intermediates living elsewhere; a result on a
-        #    *different* co-processor crosses the bus twice (device to
-        #    host, then host to this device).
+        #    *different* co-processor crosses the bus twice.
         for child in child_results:
             if child.location != device.name:
-                if engine is not None:
-                    # full-duplex channels no longer serialise the two
-                    # hops; chain them explicitly in one background copy
-                    staged.append(heap.allocate(child.nominal_bytes,
-                                                owner=op.label))
-                    spawn(_relay_child(engine, child, device.name))
-                    continue
-                if child.location != "cpu":
-                    yield from move(child.nominal_bytes, "d2h")
-                staged.append(heap.allocate(child.nominal_bytes, owner=op.label))
-                yield from move(child.nominal_bytes, "h2d")
+                staged.append(heap.allocate(child.nominal_bytes,
+                                            owner=op.label))
+                yield from copy(relay(child))
         # 3. First half of the working memory, held while queueing.
         footprint = op.device_footprint_bytes(
             ctx.profile, ctx.database, child_results
@@ -285,14 +248,7 @@ def _try_gpu(ctx, device, op, child_results, input_bytes, admit_to_cache,
                              start, env.now)
         return result
     except DeviceFault as fault:
-        ctx.metrics.record_abort(env.now - start, query=op.plan_name,
-                                 device=fault.device or device.name,
-                                 fault=fault.fault_class,
-                                 tenant=qctx.tenant if qctx else None)
-        if ctx.trace is not None:
-            ctx.trace.record(op.label, op.kind, device.name, op.plan_name,
-                             start, env.now, aborted=True,
-                             fault=fault.fault_class)
+        record_abort(ctx, op, device.name, start, fault, qctx)
         return fault
     finally:
         for key in acquired:
@@ -303,29 +259,10 @@ def _try_gpu(ctx, device, op, child_results, input_bytes, admit_to_cache,
             allocation.free()
 
 
-def _relay_child(engine, child, target_device):
-    """DES process: relay a child intermediate to ``target_device``.
-
-    On a different co-processor the result hops device-to-host first,
-    then host-to-device; the engine's channels would otherwise let the
-    two hops run concurrently, so they are chained in one process."""
-    if child.location != "cpu":
-        yield from engine.transfer(child.nominal_bytes, "d2h",
-                                   device=child.location)
-    yield from engine.transfer(child.nominal_bytes, "h2d",
-                               device=target_device)
-
-
 def _run_cpu(ctx, op, child_results, input_bytes):
     """CPU execution (native placement or fallback after an abort)."""
     start = ctx.env.now
-    for child in child_results:
-        if child.location != "cpu":
-            # The paper's fallback cost: results must come back over
-            # the bus before the CPU can continue (Sec. 2.5.1).
-            yield from ctx.hardware.host_transfer(
-                child.nominal_bytes, "d2h", device=child.location
-            )
+    yield from to_host(ctx.hardware, child_results)
     if ctx.algorithm_selection:
         algorithm_key, _ = choose_algorithm(
             ctx.cost_model, ctx.profile, op.kind, ProcessorKind.CPU,
@@ -348,3 +285,22 @@ def _run_cpu(ctx, op, child_results, input_bytes):
         ctx.trace.record(op.label, op.kind, "cpu", op.plan_name,
                          start, ctx.env.now)
     return result
+
+
+def to_host(hardware, results, release: bool = False) -> Generator:
+    """DES generator: bring every device-resident result of ``results``
+    back to the host over guaranteed (never fault-injected) copies.
+
+    Feeding a CPU consumer, this is the paper's fallback cost
+    (Sec. 2.5.1): the device copies stay until the consumer is done and
+    its caller releases them.  ``release=True`` is final delivery: each
+    device copy is freed once it has landed and the result moves to the
+    host.
+    """
+    for result in results:
+        if result.location != "cpu":
+            yield from hardware.host_transfer(
+                result.nominal_bytes, "d2h", device=result.location)
+            if release:
+                result.release_device_memory()
+                result.location = "cpu"

@@ -33,7 +33,9 @@ a build without this module.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Generator, Optional
+
+from repro.hardware import DeviceFault
 
 
 class BreakerState(enum.Enum):
@@ -253,9 +255,68 @@ class ResilienceManager:
             qctx.check()
 
 
+def attempt_with_recovery(ctx, device: str, attempt: Callable[[], Generator],
+                          query: Optional[str], qctx=None) -> Generator:
+    """DES generator: the device-attempt protocol of both executors.
+
+    ``attempt()`` starts one device attempt: a DES generator returning
+    its result, or the :class:`~repro.hardware.errors.DeviceFault` it
+    aborted on once the device state is rolled back (see
+    :func:`record_abort`).  Every attempt must first pass the device's
+    breaker; a transient fault is retried after a backoff, up to the
+    policy's ``max_retries``.  Returns the result, or None once the
+    work must restart on the CPU: the breaker denied the attempt, the
+    device ran out of memory (no retry, breaker unaffected) or the
+    retry budget is spent.
+    """
+    resilience = ctx.resilience
+    env = ctx.env
+    retry = 0
+    while True:
+        if not resilience.admit(device, env.now):
+            ctx.metrics.record_breaker_skip(device)
+            return None
+        outcome = yield from attempt()
+        if not isinstance(outcome, DeviceFault):
+            # success, or a non-fault abort: either way the device
+            # itself behaved, so the breaker sees a success
+            resilience.record_success(device, env.now)
+            return outcome
+        if not outcome.transient:
+            # out of memory: the allocator answered as specified under
+            # contention; fall back immediately, breaker unaffected
+            resilience.record_success(device, env.now)
+            return None
+        resilience.record_failure(device, env.now)
+        if retry >= resilience.policy.max_retries:
+            return None
+        ctx.metrics.record_retry(device=device, fault=outcome.fault_class,
+                                 query=query,
+                                 tenant=qctx.tenant if qctx else None)
+        # a cancelled query's backoff aborts early instead of retrying
+        yield from resilience.backoff(env, retry, qctx)
+        retry += 1
+
+
+def record_abort(ctx, op, device: str, start: float, fault: DeviceFault,
+                 qctx=None) -> None:
+    """Book one aborted device attempt of ``op``: the time wasted since
+    ``start``, blamed on the faulting device, and the aborted event on
+    the execution trace."""
+    ctx.metrics.record_abort(ctx.env.now - start, query=op.plan_name,
+                             device=fault.device or device,
+                             fault=fault.fault_class,
+                             tenant=qctx.tenant if qctx else None)
+    if ctx.trace is not None:
+        ctx.trace.record(op.label, op.kind, device, op.plan_name, start,
+                         ctx.env.now, aborted=True, fault=fault.fault_class)
+
+
 __all__ = [
     "BreakerState",
     "CircuitBreaker",
     "ResilienceManager",
     "RetryPolicy",
+    "attempt_with_recovery",
+    "record_abort",
 ]

@@ -53,6 +53,7 @@ from typing import Generator, List, Optional
 
 from repro.engine import morsel
 from repro.engine.execution.functional import execute_functional
+from repro.engine.execution.operator_task import to_host
 from repro.hardware import DeviceFault
 from repro.hardware.processor import ProcessorKind
 from repro.hype.models import SplitCostModel
@@ -74,12 +75,6 @@ REBALANCE_EPSILON = 0.01
 #: half to the device queue, so splitting onto a congested device slows
 #: the operator below its pure-CPU time.
 BUSY_FACTOR = 1.0
-
-#: Degrade to pure CPU when the deadline margin falls below this
-#: multiple of the estimated remaining makespan.  This is the default
-#: for ``SystemConfig.deadline_safety``; service mode overrides it per
-#: SLO class through ``QueryContext.deadline_safety``.
-DEADLINE_SAFETY = 2.0
 
 
 def merged_split_result(pipe, boundaries):
@@ -311,10 +306,7 @@ class SplitState:
         try:
             # the CPU half needs every device-resident intermediate
             # host-side, whatever happens to the GPU half below
-            for child in child_results:
-                if child.location != "cpu":
-                    yield from hardware.host_transfer(
-                        child.nominal_bytes, "d2h", device=child.location)
+            yield from to_host(hardware, child_results)
             # -- stage the GPU's share of the inputs ------------------
             try:
                 if not coupled:
@@ -490,7 +482,7 @@ class SplitState:
                   - qctx.env.now)
         estimate = remaining * max(t_cpu_full * (1.0 - ratio),
                                    t_gpu_full * ratio)
-        safety = getattr(self.config, "deadline_safety", DEADLINE_SAFETY)
+        safety = self.config.deadline_safety
         if qctx.deadline_safety is not None:
             safety = qctx.deadline_safety
         return margin >= safety * estimate

@@ -35,6 +35,11 @@ from typing import Dict, Generator, List, Optional, Set
 
 from repro.engine.execution.context import ExecutionContext
 from repro.engine.execution.lifecycle import QueryCancelled
+from repro.engine.execution.operator_task import to_host
+from repro.engine.execution.resilience import (
+    attempt_with_recovery,
+    record_abort,
+)
 from repro.engine.intermediates import OperatorResult
 from repro.engine.operators import (
     HashJoin,
@@ -158,12 +163,7 @@ class VectorizedExecutor:
                 yield from self._run_pipeline(pipeline, results, consumer,
                                               qctx)
             result = results[plan.root.op_id]
-            if result.location != "cpu":
-                yield from self.ctx.hardware.host_transfer(
-                    result.nominal_bytes, "d2h", device=result.location
-                )
-                result.release_device_memory()
-                result.location = "cpu"
+            yield from to_host(self.ctx.hardware, [result], release=True)
         except (Interrupted, QueryCancelled):
             # cancelled mid-plan: every device-located intermediate of
             # this query must leave the heap before we unwind
@@ -234,8 +234,11 @@ class VectorizedExecutor:
                                        qctx)
         placed = None
         if device_name is not None:
-            placed = yield from self._attempt_device(
-                pipeline, results, result, device_name, start, qctx
+            placed = yield from attempt_with_recovery(
+                ctx, device_name,
+                lambda: self._run_on_device(pipeline, results, result,
+                                            device_name, start, qctx),
+                pipeline.terminal.plan_name, qctx,
             )
         if placed is None:
             yield from self._run_on_cpu(pipeline, results, result)
@@ -286,52 +289,16 @@ class VectorizedExecutor:
             compute[kind] = total
         return stream_bytes, compute
 
-    def _attempt_device(self, pipeline: Pipeline,
-                        results: Dict[int, OperatorResult],
-                        result: OperatorResult,
-                        device_name: str, start: float,
-                        qctx=None) -> Generator:
-        """Run the pipeline on a device; None once it must go to CPU.
+    def _run_on_device(self, pipeline: Pipeline,
+                       results: Dict[int, OperatorResult],
+                       result: OperatorResult,
+                       device_name: str, start: float,
+                       qctx=None) -> Generator:
+        """One device attempt; returns the fault when it aborts.
 
-        Transient injected faults are retried with backoff under the
-        device's circuit breaker; a genuine out-of-memory abort falls
-        back immediately, as in the operator-at-a-time engine.
-        """
-        ctx = self.ctx
-        env = ctx.env
-        resilience = ctx.resilience
-        attempt = 0
-        while True:
-            if not resilience.admit(device_name, env.now):
-                ctx.metrics.record_breaker_skip(device_name)
-                return None
-            outcome = yield from self._attempt_device_once(
-                pipeline, results, result, device_name, start, qctx
-            )
-            if not isinstance(outcome, DeviceFault):
-                resilience.record_success(device_name, env.now)
-                return outcome
-            if not outcome.transient:
-                resilience.record_success(device_name, env.now)
-                return None
-            resilience.record_failure(device_name, env.now)
-            if attempt >= resilience.policy.max_retries:
-                return None
-            ctx.metrics.record_retry(
-                device=device_name, fault=outcome.fault_class,
-                query=pipeline.terminal.plan_name,
-                tenant=qctx.tenant if qctx else None,
-            )
-            # a cancelled query's backoff aborts early (QueryCancelled)
-            yield from resilience.backoff(env, attempt, qctx)
-            attempt += 1
-
-    def _attempt_device_once(self, pipeline: Pipeline,
-                             results: Dict[int, OperatorResult],
-                             result: OperatorResult,
-                             device_name: str, start: float,
-                             qctx=None) -> Generator:
-        """One device attempt; returns the fault when it aborts."""
+        Transient faults are retried by
+        :func:`~repro.engine.execution.resilience.attempt_with_recovery`,
+        the same protocol as the operator-at-a-time engine."""
         ctx = self.ctx
         env = ctx.env
         device = ctx.hardware.device(device_name)
@@ -360,13 +327,13 @@ class VectorizedExecutor:
         breaker = None
         delivered = False
         transfers = None
-        engine = ctx.hardware.copy_engine
+        hardware = ctx.hardware
         try:
             # the breaker's materialised output (or hash table) is the
             # pipeline's only heap demand — vectors themselves stream
             breaker = device.heap.allocate(result.nominal_bytes,
                                            owner=pipeline.terminal.label)
-            if engine is not None and stream_bytes:
+            if hardware.copy_engine is not None and stream_bytes:
                 # double-buffered streaming: the copy engine moves
                 # vector k+1 while the kernel consumes vector k
                 gpu_done = env.process(self._stream_vectors(
@@ -375,10 +342,9 @@ class VectorizedExecutor:
                 ))
             else:
                 if stream_bytes:
-                    transfers = env.process(
-                        ctx.bus.transfer(int(stream_bytes * (1 - split)),
-                                         "h2d", device=device_name)
-                    )
+                    transfers = env.process(hardware.device_transfer(
+                        int(stream_bytes * (1 - split)), "h2d",
+                        device_name))
                     # joined below; pre-defuse so a fault on the compute
                     # path cannot leave an unwaited transfer failure
                     transfers.defused = True
@@ -396,18 +362,8 @@ class VectorizedExecutor:
             delivered = True
             return result
         except DeviceFault as fault:
-            ctx.metrics.record_abort(
-                env.now - start, query=pipeline.terminal.plan_name,
-                device=fault.device or device_name,
-                fault=fault.fault_class,
-                tenant=qctx.tenant if qctx else None,
-            )
-            if ctx.trace is not None:
-                ctx.trace.record(
-                    pipeline.terminal.label, pipeline.terminal.kind,
-                    device_name, pipeline.terminal.plan_name,
-                    start, env.now, aborted=True, fault=fault.fault_class,
-                )
+            record_abort(ctx, pipeline.terminal, device_name, start, fault,
+                         qctx)
             return fault
         finally:
             # covers the fault path *and* a cancellation interrupt while
@@ -426,9 +382,8 @@ class VectorizedExecutor:
         fill latency.  An injected PCIe fault or a kernel fault fails
         this process, which the caller observes through ``all_of``.
         """
-        ctx = self.ctx
-        engine = ctx.hardware.copy_engine
-        chunk = engine.chunk_bytes
+        hardware = self.ctx.hardware
+        chunk = hardware.copy_engine.chunk_bytes
         remaining = int(stream_bytes)
         vectors = max(1, -(-remaining // chunk))
         per_compute = compute_seconds / vectors
@@ -436,8 +391,8 @@ class VectorizedExecutor:
         for _ in range(vectors):
             vector_bytes = min(chunk, remaining)
             remaining -= vector_bytes
-            yield from engine.transfer(vector_bytes, "h2d",
-                                       device=device.name)
+            yield from hardware.device_transfer(vector_bytes, "h2d",
+                                                device.name)
             if pending is not None:
                 yield pending
             pending = device.processor.submit(per_compute)
@@ -452,14 +407,11 @@ class VectorizedExecutor:
                     result: OperatorResult) -> Generator:
         ctx = self.ctx
         # inputs produced on a device stream back to the host
-        for op in pipeline.operators:
-            for child in op.children:
-                child_result = results.get(child.op_id)
-                if child_result is not None and child_result.location != "cpu":
-                    yield from ctx.hardware.host_transfer(
-                        child_result.nominal_bytes, "d2h",
-                        device=child_result.location,
-                    )
+        yield from to_host(ctx.hardware, [
+            results[child.op_id]
+            for op in pipeline.operators for child in op.children
+            if child.op_id in results
+        ])
         _, compute = self._io_and_compute(pipeline, results, None)
         yield from ctx.hardware.cpu.execute(compute[ProcessorKind.CPU])
         result.location = "cpu"

@@ -12,7 +12,7 @@ from typing import Iterable, List, Sequence, Set, Union
 
 import numpy as np
 
-from repro.storage import Column, ColumnType
+from repro.storage import ColumnType
 
 #: Comparison operators in SQL spelling.
 COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")

@@ -25,7 +25,6 @@ itself with :mod:`repro.engine.caches`, so ``compress_database`` and
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional, Tuple
 from weakref import WeakKeyDictionary
 
@@ -45,17 +44,10 @@ from repro.engine.expressions import (
 from repro.storage.blocks import DEFAULT_BLOCK_ROWS, ZoneMap, build_zone_map
 from repro.storage.types import ColumnType
 
-#: Environment knob: rows per zone-map block (default 64K).  The
-#: simulation's actual arrays are small, so tests and benchmarks tune
-#: this down to exercise pruning.
-BLOCK_ENV = "REPRO_ZONE_BLOCK"
-
 #: If the build side of a cached-index join would expand to more than
 #: this many matches per probe row before mask filtering, fall back to
 #: sorting the filtered values (the seed path) instead.
 _EXPAND_FALLBACK_FACTOR = 4
-
-_block_rows_override: Optional[int] = None
 
 #: database -> KernelCache
 _caches: "WeakKeyDictionary" = WeakKeyDictionary()
@@ -84,28 +76,6 @@ def reset_stats() -> None:
 
 def snapshot_stats() -> Dict[str, int]:
     return dict(stats)
-
-
-def default_block_rows() -> int:
-    """Effective zone-map block size: override > $REPRO_ZONE_BLOCK > 64K."""
-    if _block_rows_override is not None:
-        return _block_rows_override
-    raw = os.environ.get(BLOCK_ENV, "").strip()
-    if raw:
-        return max(int(raw), 1)
-    return DEFAULT_BLOCK_ROWS
-
-
-def set_block_rows(block_rows: Optional[int]) -> None:
-    """Override the zone-map block size (None restores env/default).
-
-    Existing caches keep their maps; call :func:`invalidate` to rebuild
-    at the new granularity.
-    """
-    global _block_rows_override
-    if block_rows is not None and int(block_rows) < 1:
-        raise ValueError("block_rows must be >= 1")
-    _block_rows_override = None if block_rows is None else int(block_rows)
 
 
 class JoinIndex:
@@ -191,7 +161,7 @@ class KernelCache:
 
     def __init__(self, block_rows: Optional[int] = None):
         self.block_rows = (
-            int(block_rows) if block_rows is not None else default_block_rows()
+            int(block_rows) if block_rows is not None else DEFAULT_BLOCK_ROWS
         )
         self._join_indexes: Dict[str, JoinIndex] = {}
         self._zone_maps: Dict[str, ZoneMap] = {}

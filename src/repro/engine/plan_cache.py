@@ -18,7 +18,7 @@ never leak into a later — validated — run.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.engine import caches

@@ -10,12 +10,9 @@ more robust than magic constants.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Set, Tuple
 
 from repro.engine.expressions import ColumnRef, Expression
-from repro.engine.frame import Frame
 from repro.engine.logical import (
     LogicalAggregate,
     LogicalDistinct,

@@ -26,8 +26,6 @@ from repro.sim import Environment
 class SystemConfig:
     """Dimensions and calibration of the simulated platform."""
 
-    #: host memory (bytes); the host never runs out in our experiments
-    host_memory_bytes: int = 32 * GIB
     #: number of co-processors (Sec. 6.3: multiple GPUs scale the
     #: approach to larger databases and more users); sizes below are
     #: per device
@@ -38,8 +36,6 @@ class SystemConfig:
     #: slice of device memory used as column cache ("GPU buffer size");
     #: the remainder is operator heap
     gpu_cache_bytes: int = 2 * GIB
-    #: cache eviction policy: "lru" or "lfu"
-    gpu_cache_policy: str = "lru"
     #: effective PCIe bandwidth and latency (page-locked, async streams)
     pcie_bandwidth_bytes_per_second: float = 2.4 * GIB
     pcie_latency_seconds: float = 15e-6
@@ -119,10 +115,6 @@ class SystemConfig:
     def gpu_heap_bytes(self) -> int:
         """Device memory left for operator intermediates and results."""
         return self.gpu_memory_bytes - self.gpu_cache_bytes
-
-    def with_cache_bytes(self, gpu_cache_bytes: int) -> "SystemConfig":
-        """Copy of this config with a different GPU buffer size."""
-        return replace(self, gpu_cache_bytes=int(gpu_cache_bytes))
 
     def with_profile(self, profile: EngineProfile) -> "SystemConfig":
         return replace(self, profile=profile)
@@ -211,7 +203,6 @@ class HardwareSystem:
                                     metrics=self.metrics, name=name),
                     cache=DeviceCache(
                         self.config.gpu_cache_bytes,
-                        policy=self.config.gpu_cache_policy,
                         metrics=self.metrics,
                         clock=lambda: env.now,
                     ),

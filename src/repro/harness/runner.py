@@ -119,7 +119,6 @@ def run_workload(
     env = Environment()
     metrics = MetricsCollector()
     hardware = HardwareSystem(env, config, metrics)
-    hardware.gpu_cache.policy = placement_policy
     injector = None
     if fault_config is not None and fault_config.enabled:
         injector = FaultInjector(fault_config, clock=lambda: env.now)
@@ -320,9 +319,9 @@ def warm_up(ctx: ExecutionContext, queries: List[WorkloadQuery],
             placement_policy: str, execute) -> None:
     """Prepare the platform before the first query arrives (batch and
     service runs alike): reset access statistics, memoise the
-    functional results (see :func:`memoise_functional`), pre-load the
-    device caches, start the prefetcher and gate templates for split
-    execution."""
+    functional results (see :func:`memoise_functional`), give every
+    device cache the run's eviction policy and pre-load it, start the
+    prefetcher and gate templates for split execution."""
     hardware = ctx.hardware
     config = hardware.config
     metrics = ctx.metrics
@@ -336,6 +335,8 @@ def warm_up(ctx: ExecutionContext, queries: List[WorkloadQuery],
         caches=[device.cache for device in hardware.gpus],
         policy=placement_policy,
     )
+    for device in hardware.gpus:
+        device.cache.policy = placement_policy
     if warm_cache:
         placement.apply_placement()
         if not strategy.uses_data_placement:

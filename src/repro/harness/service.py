@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from random import Random
 from time import perf_counter
 from typing import (Callable, Deque, Dict, List, Optional, Sequence,
@@ -493,8 +493,8 @@ class _ServiceRun:
                                             List[WorkloadQuery]],
                  workload_name: str, strategy: str,
                  config: SystemConfig, service: ServiceConfig,
-                 placement_policy: str, cpu_workers: int,
-                 gpu_workers: int, scheduling: str, faults):
+                 cpu_workers: int, gpu_workers: int, scheduling: str,
+                 faults):
         from repro.faults import FaultConfig, FaultInjector
 
         self.service = service
@@ -506,7 +506,6 @@ class _ServiceRun:
         self.env = Environment()
         self.metrics = MetricsCollector()
         self.hardware = HardwareSystem(self.env, config, self.metrics)
-        self.hardware.gpu_cache.policy = placement_policy
         self.injector = None
         if self.fault_config is not None and self.fault_config.enabled:
             self.injector = FaultInjector(
@@ -865,7 +864,7 @@ def run_service(
         workload_factory = resolve_workload_factory(workload, query_names)
     run = _ServiceRun(
         database, workload_factory, workload, strategy, config, service,
-        placement_policy, cpu_workers, gpu_workers, scheduling, faults,
+        cpu_workers, gpu_workers, scheduling, faults,
     )
     warm_up(run.ctx, run.queries, run.strategy, warm_cache,
             placement_policy, _memoise_templates)

@@ -22,8 +22,7 @@ round-trip property tests.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 

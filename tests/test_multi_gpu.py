@@ -13,6 +13,7 @@ from repro.hardware.calibration import GIB, MIB
 from repro.sim import Environment
 from repro.sql import bind
 from repro.workloads import ssb
+from repro.workloads.base import sql_workload
 
 
 JOIN_SQL = (
@@ -199,6 +200,48 @@ class TestMultiGpuExecution:
         assert hw.metrics.gpu_to_cpu_bytes > 0
         assert hw.metrics.cpu_to_gpu_bytes > 0
 
+    @pytest.mark.parametrize("copy_engine", (False, True))
+    def test_relay_d2h_fault_is_blamed_on_the_source_device(
+            self, toy_db, copy_engine):
+        """A PCIe fault on the device-to-host hop of a cross-device
+        relay belongs to the device the result leaves, on the
+        serialized bus and on the copy engine alike."""
+        from repro.engine.execution import ExecutionContext, execute_operator
+        from repro.engine.expressions import ColumnRef, Comparison, Literal
+        from repro.engine.operators import RefineSelect, ScanSelect
+        from repro.faults import FaultConfig, FaultInjector
+
+        env = Environment()
+        hw = HardwareSystem(env, multi_config(2, copy_engine=copy_engine))
+        injector = FaultInjector(FaultConfig(pcie=1.0, max_retries=0),
+                                 clock=lambda: env.now)
+        hw.install_faults(injector)
+        ctx = ExecutionContext(hw, toy_db)
+        # every column is resident, so the relay is the only PCIe copy
+        for device in hw.gpus:
+            for column in toy_db.columns():
+                device.cache.admit(column.key, column.nominal_bytes,
+                                   pinned=True)
+        amount = ColumnRef("sales", "amount")
+        scan = ScanSelect("sales", Comparison("<", amount, Literal(60)))
+        refine = RefineSelect(scan, "sales",
+                              Comparison(">", amount, Literal(5)))
+
+        def run():
+            first = yield from execute_operator(ctx, scan, [], "gpu")
+            assert first.location == "gpu"
+            second = yield from execute_operator(
+                ctx, refine, [first], "gpu2"
+            )
+            # the relay died and the retry budget is zero: CPU fallback
+            assert second.location == "cpu"
+
+        env.process(run())
+        env.run()
+        assert dict(injector.injected_by_device) == {("pcie", "gpu"): 1}
+        assert dict(hw.metrics.faults_per_device) == {("pcie", "gpu"): 1}
+        assert hw.gpus[1].heap.used == 0
+
 
 class TestMultiGpuWorkloads:
     @pytest.mark.parametrize("strategy",
@@ -217,6 +260,24 @@ class TestMultiGpuWorkloads:
                            users=3, repetitions=2, collect_results=True)
         for name, rows in expected.items():
             assert run.results[name].row_tuples() == rows, (strategy, name)
+
+    @pytest.mark.parametrize("policy", ("lfu", "lru"))
+    def test_every_device_cache_gets_the_run_policy(
+            self, toy_db, monkeypatch, policy):
+        from repro.harness import runner
+
+        built = []
+
+        class RecordingHardware(HardwareSystem):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(runner, "HardwareSystem", RecordingHardware)
+        run_workload(toy_db, sql_workload(toy_db, {"q": JOIN_SQL}),
+                     "chopping", config=multi_config(3),
+                     placement_policy=policy)
+        assert [d.cache.policy for d in built[0].gpus] == [policy] * 3
 
     def test_scale_up_improves_scarce_resources(self):
         """Sec. 6.3: more co-processors handle larger databases."""
